@@ -47,7 +47,7 @@ from .properties import (
     raw_moment,
     raw_moment_series,
 )
-from .sampling import SeededStream, sample_baseline, sample_compound, sample_inverse
+from .sampling import SeededStream, sample_compound, sample_inverse
 from .simulation import (
     DEFAULT_PARAMETER_SETS,
     SimulationSummary,
@@ -100,7 +100,6 @@ __all__ = [
     "SeededStream",
     "sample_inverse",
     "sample_compound",
-    "sample_baseline",
     "DEFAULT_PARAMETER_SETS",
     "StudyConfig",
     "SimulationSummary",

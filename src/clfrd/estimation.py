@@ -14,9 +14,18 @@ have no interior stationary point and the optimizer legitimately stops at
 the edge of the search region.  Such fits are flagged ``boundary=True``.
 
 A separate ``"local"`` optimizer kind runs a bounded quasi-Newton search
-from a caller-supplied start; the Monte Carlo recovery study uses it with
-the true parameters as the start, the standard design for studying the
-sampling behaviour of a local MLE on a ridged likelihood.
+(L-BFGS-B) from a caller-supplied start; the Monte Carlo recovery study
+uses it with the true parameters as the start, the standard design for
+studying the sampling behaviour of a local MLE on a ridged likelihood.
+Its gradient is L-BFGS-B's own forward difference, computed here in one
+numpy pass over the point and its three shifted copies, so the iterates
+are those scipy's finite differences would give, bit for bit.  A local
+estimate pinned at the ``1e-10`` lower bound is flagged ``boundary=True``.
+
+The public ``clfrd_loglik``/``clfrd_score``/``clfrd_observed_information``
+and ``fit_*`` functions are the only validation point: they check the
+data and parameters once and then call raw kernels, which optimizers
+evaluate directly without re-validating.
 """
 
 from __future__ import annotations
@@ -53,6 +62,13 @@ __all__ = [
 
 _LOG_EDGE = 25.0  # |log parameter| beyond this marks a ridge/boundary fit
 _LOG_WALL = 600.0  # objective returns +inf past here to keep exp() finite
+_MAX_RESTARTS = 6  # size of the moment-based start grid of _default_starts
+_LOCAL_LOWER = 1e-10  # lower bound of every parameter in the local search
+_FD_STEP = 1e-8  # L-BFGS-B's default absolute finite-difference step
+_FD_FALLBACK = math.sqrt(np.finfo(float).eps)  # scipy's relative step when 1e-8 vanishes
+# L-BFGS-B's default cap of 15000 evaluations, which counted each of the
+# four points of a finite-difference gradient; one call now covers all four
+_FD_MAXFUN = 15000 // 4
 
 
 class NonConvergenceError(RuntimeError):
@@ -73,12 +89,20 @@ class FitOptions:
     def __post_init__(self):
         if self.max_iterations < 1 or self.restart_count < 1:
             raise ValueError("FitOptions: iteration and restart counts must be positive")
+        if self.restart_count > _MAX_RESTARTS:
+            raise ValueError(f"FitOptions: restart_count must be at most {_MAX_RESTARTS}, "
+                             f"the size of the start grid, got {self.restart_count}")
         if self.gradient_tolerance <= 0 or self.step_tolerance <= 0:
             raise ValueError("FitOptions: tolerances must be positive")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("FitOptions: ci_level must lie in (0, 1)")
         if self.optimizer_kind not in ("multistart", "local"):
             raise ValueError(f"FitOptions: unknown optimizer_kind {self.optimizer_kind!r}")
+        if self.start is not None:
+            start = np.asarray(self.start, dtype=float)
+            if start.shape != (3,) or not np.all(np.isfinite(start) & (start > 0.0)):
+                raise ValueError(f"FitOptions: start must be 3 finite, strictly positive values, "
+                                 f"got {self.start!r}")
 
 
 @dataclass
@@ -108,26 +132,33 @@ def _check_data(data, minimum_size=1) -> np.ndarray:
     return x
 
 
-def clfrd_loglik(model: Clfrd, data) -> float:
-    """Log-likelihood of strictly positive observations under the model."""
-    x = _check_data(data)
-    a, b, lam = model.alpha, model.beta, model.lam
-    y = a * x + 0.5 * b * x * x
+# ---------------------------------------------------------------------------
+# raw kernels: no validation, for optimizers; the public functions below
+# check their arguments once and call these
+
+
+def _loglik_rows(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Log-likelihood at each row ``(alpha, beta, lam)`` of a ``(k, 3)`` stack.
+
+    One numpy pass over a ``(k, n)`` array; every row is bit-identical to
+    evaluating that row on its own.
+    """
+    a, b, lam = theta.T
+    ac, bc, lc = a[:, None], b[:, None], lam[:, None]
+    y = ac * x + 0.5 * bc * x * x
     e = np.exp(-y)
-    return float(
+    return (
         -x.size * lam
         - a * x.sum()
         - 0.5 * b * (x * x).sum()
-        + lam * e.sum()
-        + np.log(a + b * x).sum()
-        + np.log1p(lam * e).sum()
+        + lam * e.sum(axis=1)
+        + np.log(ac + bc * x).sum(axis=1)
+        + np.log1p(lc * e).sum(axis=1)
     )
 
 
-def clfrd_score(model: Clfrd, data) -> np.ndarray:
-    """Exact gradient of the log-likelihood in (alpha, beta, lam)."""
-    x = _check_data(data)
-    a, b, lam = model.alpha, model.beta, model.lam
+def _score(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    a, b, lam = theta
     y = a * x + 0.5 * b * x * x
     e = np.exp(-y)
     d = 1.0 + lam * e
@@ -143,14 +174,8 @@ def clfrd_score(model: Clfrd, data) -> np.ndarray:
     return np.array([da, db, dl])
 
 
-def clfrd_observed_information(model: Clfrd, data) -> np.ndarray:
-    """Observed information: negative Hessian of the log-likelihood.
-
-    Symmetric by construction; derived analytically and verified against
-    finite differences of the score in the test suite.
-    """
-    x = _check_data(data)
-    a, b, lam = model.alpha, model.beta, model.lam
+def _information(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    a, b, lam = theta
     y = a * x + 0.5 * b * x * x
     e = np.exp(-y)
     d = 1.0 + lam * e
@@ -164,6 +189,25 @@ def clfrd_observed_information(model: Clfrd, data) -> np.ndarray:
     h_ll = -(e * e / (d * d)).sum()
     hess = np.array([[h_aa, h_ab, h_al], [h_ab, h_bb, h_bl], [h_al, h_bl, h_ll]])
     return -hess
+
+
+def clfrd_loglik(model: Clfrd, data) -> float:
+    """Log-likelihood of strictly positive observations under the model."""
+    return float(_loglik_rows(model.to_vector()[None, :], _check_data(data))[0])
+
+
+def clfrd_score(model: Clfrd, data) -> np.ndarray:
+    """Exact gradient of the log-likelihood in (alpha, beta, lam)."""
+    return _score(model.to_vector(), _check_data(data))
+
+
+def clfrd_observed_information(model: Clfrd, data) -> np.ndarray:
+    """Observed information: negative Hessian of the log-likelihood.
+
+    Symmetric by construction; derived analytically and verified against
+    finite differences of the score in the test suite.
+    """
+    return _information(model.to_vector(), _check_data(data))
 
 
 def _z_value(level: float) -> float:
@@ -228,13 +272,12 @@ def _finalize(model, x, loglik_fn, info_fn, opts, converged, iterations, restart
 def _neg_loglik_logscale(lt: np.ndarray, x: np.ndarray) -> float:
     if np.any(np.abs(lt) > _LOG_WALL):
         return math.inf
-    model = Clfrd(*np.exp(lt))
-    return -clfrd_loglik(model, x)
+    return -float(_loglik_rows(np.exp(lt)[None, :], x)[0])
 
 
 def _neg_grad_logscale(lt: np.ndarray, x: np.ndarray) -> np.ndarray:
     theta = np.exp(np.clip(lt, -_LOG_WALL, _LOG_WALL))
-    return -clfrd_score(Clfrd(*theta), x) * theta
+    return -_score(theta, x) * theta
 
 
 def _default_starts(x: np.ndarray, count: int) -> list[tuple[float, float, float]]:
@@ -285,25 +328,46 @@ def _fit_clfrd_multistart(x: np.ndarray, opts: FitOptions) -> FitResult:
                      boundary=boundary, message=message)
 
 
-def _neg_loglik_natural(theta: np.ndarray, x: np.ndarray) -> float:
-    if np.any(theta <= 0.0) or np.any(~np.isfinite(theta)):
-        return math.inf
-    return -clfrd_loglik(Clfrd(*theta), x)
+def _neg_loglik_fd(theta: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """``-loglik`` at theta and its forward-difference gradient, in one pass.
+
+    Evaluates theta and its three forward points as one ``(4, n)`` stack,
+    with exactly the step L-BFGS-B takes itself (scipy's
+    ``approx_derivative`` with absolute step 1e-8): a step that vanishes
+    against a component falls back to ``sqrt(eps) * max(1, |theta|)``, and
+    each difference is divided by the step actually taken,
+    ``(theta + h) - theta``.  Iterates therefore match a run on ``-loglik``
+    with scipy's own finite differences bit for bit.  Points off the open
+    positive orthant score ``+inf``.
+    """
+    vanishes = theta + _FD_STEP - theta == 0.0
+    h = np.where(vanishes, _FD_FALLBACK * np.maximum(1.0, np.abs(theta)), _FD_STEP)
+    points = np.vstack([theta, theta + np.diag(h)])
+    valid = np.all(np.isfinite(points) & (points > 0.0), axis=1)
+    f = np.full(4, math.inf)
+    f[valid] = -_loglik_rows(points[valid], x)
+    return float(f[0]), (f[1:] - f[0]) / ((theta + h) - theta)
 
 
 def _fit_clfrd_local(x: np.ndarray, opts: FitOptions) -> FitResult:
     if opts.start is None:
         raise ValueError("FitOptions.start is required for the local optimizer kind")
-    start = np.asarray(opts.start, dtype=float)
     res = minimize(
-        _neg_loglik_natural, start, args=(x,), method="L-BFGS-B",
-        bounds=[(1e-10, None)] * 3, options=dict(maxiter=opts.max_iterations),
+        _neg_loglik_fd, np.asarray(opts.start, dtype=float), args=(x,), jac=True,
+        method="L-BFGS-B", bounds=[(_LOCAL_LOWER, None)] * 3,
+        options=dict(maxiter=opts.max_iterations, maxfun=_FD_MAXFUN),
     )
     converged = res.status == 0
-    model = Clfrd(*np.maximum(res.x, 1e-10))
+    pinned = [name for name, v in zip(Clfrd.param_names, res.x) if v <= _LOCAL_LOWER]
+    boundary = bool(pinned)
+    message = "" if converged else str(res.message)
+    if boundary:
+        note = f"{', '.join(pinned)} at the lower bound {_LOCAL_LOWER:g}"
+        message = (message + "; " if message else "") + note
+    model = Clfrd(*res.x)
     return _finalize(model, x, clfrd_loglik, clfrd_observed_information, opts,
                      converged=converged, iterations=res.nit, restarts=1,
-                     boundary=not converged, message="" if converged else str(res.message))
+                     boundary=boundary, message=message)
 
 
 def fit_clfrd(data, opts: FitOptions | None = None) -> FitResult:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import Clfrd, LifetimeModel
 
-__all__ = ["SeededStream", "sample_inverse", "sample_compound", "sample_baseline"]
+__all__ = ["SeededStream", "sample_inverse", "sample_compound"]
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def _check_count(n: int) -> int:
 
 
 def sample_inverse(model: LifetimeModel, n: int, stream: SeededStream) -> np.ndarray:
-    """Draw n variates by inverse transform of uniforms on [0, 1)."""
+    """Draw n variates of any model by inverse transform of uniforms on [0, 1)."""
     n = _check_count(n)
     u = stream.generator().random(n)
     return np.asarray(model.quantile(u), dtype=float)
@@ -74,7 +74,3 @@ def sample_compound(model: Clfrd, n: int, stream: SeededStream) -> np.ndarray:
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
     return np.minimum.reduceat(lifetimes, offsets)
 
-
-def sample_baseline(model: LifetimeModel, n: int, stream: SeededStream) -> np.ndarray:
-    """Inverse-transform sampling for any model exposing ``quantile``."""
-    return sample_inverse(model, n, stream)

@@ -9,10 +9,15 @@ distribution).  By construction ``mse = bias^2 + sd^2`` and
 Each replication runs a bounded quasi-Newton fit started at the true
 parameters (see ``estimation``): the study measures the sampling
 behaviour of the local MLE, so the start removes multistart selection
-effects.  The likelihood's compounding ridge means a few samples have no
-interior optimum; replications whose fit hits the iteration cap are
-counted as failures and excluded, and a cell with more than 20% failures
-is flagged degenerate.
+effects.  The sample is validated once, by ``fit_clfrd``; the optimizer
+then evaluates raw log-likelihood kernels, taking L-BFGS-B's own
+forward-difference gradient in one numpy pass per point.
+
+The likelihood's compounding ridge means a few samples have no interior
+optimum; replications whose fit hits the iteration cap are counted as
+failures and excluded, and a cell with more than 20% failures is flagged
+degenerate.  Fits that converge with an estimate pinned at the lower
+bound are kept.
 
 Replications are keyed by ``(cell seed, replication index)`` streams, so
 results are bit-identical for a given ``base_seed`` no matter how the

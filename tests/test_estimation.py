@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import approx_fprime, minimize
 
 from clfrd import (
     Clfrd,
@@ -17,6 +17,8 @@ from clfrd import (
     sample_inverse,
     wald_ci,
 )
+from clfrd.estimation import _loglik_rows, _neg_loglik_fd
+from clfrd.simulation import DEFAULT_PARAMETER_SETS, DEFAULT_SEED, _cell_seed
 
 # published estimates for the three benchmark datasets
 PUBLISHED_CLFRD = {
@@ -194,6 +196,125 @@ class TestFitClfrd:
             fit = fit_clfrd(data)
             eigenvalues = np.linalg.eigvalsh(clfrd_observed_information(fit.model, data))
             assert np.all(eigenvalues > 0.0)
+
+
+def reference_loglik(theta, x):
+    # reference: one scalar parameter triple in one 1-D pass, the form the
+    # row kernel must reproduce bit for bit
+    a, b, lam = theta
+    y = a * x + 0.5 * b * x * x
+    e = np.exp(-y)
+    return float(
+        -x.size * lam
+        - a * x.sum()
+        - 0.5 * b * (x * x).sum()
+        + lam * e.sum()
+        + np.log(a + b * x).sum()
+        + np.log1p(lam * e).sum()
+    )
+
+
+def reference_neg_loglik(theta, x):
+    # reference: -loglik alone, for scipy to take its own finite differences
+    if np.any(theta <= 0.0) or np.any(~np.isfinite(theta)):
+        return math.inf
+    return -clfrd_loglik(Clfrd(*theta), x)
+
+
+def reference_local_fit(x, start, max_iterations):
+    return minimize(reference_neg_loglik, np.asarray(start, dtype=float), args=(x,),
+                    method="L-BFGS-B", bounds=[(1e-10, None)] * 3,
+                    options=dict(maxiter=max_iterations))
+
+
+class TestRawKernels:
+    @pytest.mark.parametrize("n", [1, 7, 128, 129, 8193, 100001])
+    def test_row_kernel_is_bit_identical(self, n):
+        # the row blocks straddle numpy's pairwise-summation and buffer sizes
+        rng = np.random.default_rng(n)
+        x = sample_inverse(Clfrd(2.0, 2.0, 2.0), n, SeededStream(31, n))
+        theta = np.vstack([[2.0, 2.0, 2.0], np.exp(rng.uniform(-20.0, 25.0, (5, 3)))])
+        rows = _loglik_rows(theta, x)
+        for k, t in enumerate(theta):
+            assert rows[k] == reference_loglik(t, x)
+            assert rows[k] == clfrd_loglik(Clfrd(*t), x)
+
+    def test_fd_objective_matches_scipy_forward_difference(self):
+        # log-uniform over e^-20..e^25: components past 2^27 make 1e-8
+        # vanish against them and take scipy's relative fallback step
+        rng = np.random.default_rng(2026)
+        x = sample_inverse(Clfrd(2.0, 2.0, 2.0), 100, SeededStream(32))
+        thetas = np.exp(rng.uniform(-20.0, 25.0, (200, 3)))
+        assert np.sum(thetas + 1e-8 == thetas) >= 20
+        for theta in thetas:
+            value, grad = _neg_loglik_fd(theta, x)
+            assert value == -clfrd_loglik(Clfrd(*theta), x)
+            np.testing.assert_array_equal(grad, approx_fprime(theta, reference_neg_loglik, 1e-8, x))
+
+    def test_local_fit_reproduces_scipy_iterates(self):
+        # replication 443 of set 4 at n=200 steps past theta ~ 4.5e7 in a
+        # line search, where only the fallback step keeps the gradient finite;
+        # set 1 r=31 hits the iteration cap and r=41 pins beta at its bound
+        cases = [(4, 200, 443)]
+        cases += [(1, 100, r) for r in range(25, 45)]
+        cases += [(8, 100, r) for r in range(20)]
+        for set_id, n, r in cases:
+            truth = DEFAULT_PARAMETER_SETS[set_id - 1]
+            x = sample_inverse(truth, n, SeededStream(_cell_seed(DEFAULT_SEED, set_id, n), r))
+            opts = FitOptions(optimizer_kind="local", start=tuple(truth.to_vector()),
+                              max_iterations=100, compute_covariance=False)
+            fit = fit_clfrd(x, opts)
+            ref = reference_local_fit(x, opts.start, opts.max_iterations)
+            case = (set_id, n, r)
+            np.testing.assert_array_equal(fit.model.to_vector(), ref.x, err_msg=str(case))
+            assert fit.iterations == ref.nit, case
+            assert fit.converged == (ref.status == 0), case
+            if not fit.converged:
+                assert fit.message.startswith(ref.message), case
+
+
+class TestLocalFitFlags:
+    # set 1 at n=100 from its true parameters, with the study's iteration cap
+    OPTS = dict(optimizer_kind="local", start=(2.0, 2.0, 2.0), max_iterations=100,
+                compute_covariance=False)
+
+    def _fit(self, r):
+        return fit_clfrd(sample_inverse(Clfrd(2.0, 2.0, 2.0), 100, SeededStream(7, r)),
+                         FitOptions(**self.OPTS))
+
+    def test_estimate_at_lower_bound_sets_boundary(self):
+        fit = self._fit(44)
+        assert fit.converged
+        assert fit.params["beta"] == 1e-10
+        assert fit.boundary
+        assert fit.message == "beta at the lower bound 1e-10"
+
+    def test_iteration_cap_is_not_boundary(self):
+        fit = self._fit(24)
+        assert not fit.converged
+        assert not fit.boundary
+        assert "ITERATIONS REACHED LIMIT" in fit.message
+
+    def test_interior_fit_is_clean(self):
+        fit = self._fit(0)
+        assert fit.converged and not fit.boundary and fit.message == ""
+
+
+class TestFitOptions:
+    @pytest.mark.parametrize("start", [(-1.0, 2.0, 2.0), (0.0, 2.0, 2.0), (1.0, 2.0),
+                                       (1.0, 2.0, 3.0, 4.0), (1.0, math.nan, 1.0),
+                                       (1.0, math.inf, 1.0)])
+    def test_rejects_invalid_start(self, start):
+        with pytest.raises(ValueError, match="start"):
+            FitOptions(optimizer_kind="local", start=start)
+
+    def test_accepts_positive_start(self):
+        assert FitOptions(optimizer_kind="local", start=(1, 2.0, 3e-9)).start == (1, 2.0, 3e-9)
+
+    def test_rejects_restart_count_above_grid(self):
+        FitOptions(restart_count=6)
+        with pytest.raises(ValueError, match="restart_count"):
+            FitOptions(restart_count=7)
 
 
 class TestWaldCi:

@@ -12,7 +12,6 @@ from clfrd import (
     Rayleigh,
     SeededStream,
     raw_moment,
-    sample_baseline,
     sample_compound,
     sample_inverse,
 )
@@ -66,7 +65,7 @@ class TestCompoundSampler:
     def test_lfr_limit(self):
         a, b = 1.3, 0.6
         compound = sample_compound(Clfrd(a, b, 1e-9), 10**4, SeededStream(21))
-        lfr = sample_baseline(LinearFailureRate(a, b), 10**4, SeededStream(22))
+        lfr = sample_inverse(LinearFailureRate(a, b), 10**4, SeededStream(22))
         assert ks_2samp(compound, lfr).pvalue > 0.01
 
     def test_nonnegative_and_finite(self):
@@ -89,16 +88,16 @@ class TestCompoundSampler:
 
 class TestBaselineSampler:
     def test_exponential_mean(self):
-        draws = sample_baseline(Exponential(1.0), 10**6, SeededStream(5))
+        draws = sample_inverse(Exponential(1.0), 10**6, SeededStream(5))
         assert draws.mean() == pytest.approx(1.0, abs=0.01)
 
     def test_rayleigh_mean(self):
-        draws = sample_baseline(Rayleigh(1.0), 10**6, SeededStream(6))
+        draws = sample_inverse(Rayleigh(1.0), 10**6, SeededStream(6))
         assert draws.mean() == pytest.approx(math.sqrt(math.pi / 2.0), abs=0.01)
 
     def test_ged_shape_one_is_exponential(self):
-        a = sample_baseline(GeneralizedExponential(0.8, 1.0), 10**4, SeededStream(7))
-        b = sample_baseline(Exponential(0.8), 10**4, SeededStream(8))
+        a = sample_inverse(GeneralizedExponential(0.8, 1.0), 10**4, SeededStream(7))
+        b = sample_inverse(Exponential(0.8), 10**4, SeededStream(8))
         assert ks_2samp(a, b).pvalue > 0.01
 
 
