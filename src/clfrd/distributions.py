@@ -48,6 +48,27 @@ def _match(x, values):
     return values
 
 
+# Past this log(lam e^lam) the CLFRD quantile solves for W in log space:
+# the W argument lam (1 - q) e^lam overflows from lam ~ 703.2, and W's
+# Halley step already gives wrong quantiles at lam = 702
+_LOG_W_ARG_MAX = 700.0
+
+
+def _w0_of_log(log_z):
+    """W0(e^log_z) for log_z >= 600 by Newton steps on w + log w = log_z.
+
+    The equation is concave in w, so from ``log_z - log(log_z)`` the steps
+    rise monotonically to the root.
+    """
+    w = log_z - np.log(log_z)
+    for _ in range(64):
+        dw = (w + np.log(w) - log_z) * w / (w + 1.0)
+        w = w - dw
+        if np.all(np.abs(dw) <= 1e-15 * w):
+            break
+    return w
+
+
 def _as_prob_array(q):
     arr = np.asarray(q, dtype=float)
     if np.any(np.isnan(arr)) or np.any(arr < 0.0) or np.any(arr >= 1.0):
@@ -161,9 +182,15 @@ class Clfrd(LifetimeModel):
         return _match(x, np.exp(self.log_pdf(x)) / (-np.expm1(self.log_sf(x))))
 
     def quantile(self, q):
+        # with w = W0(lam (1 - q) e^lam), so w + log w = log(lam (1 - q)) + lam,
+        # the exponent alpha x + beta x^2 / 2 is w - lam - log(1 - q) = log(lam / w)
         q = _as_prob_array(q)
-        w = lambert_w0(self.lam * (1.0 - q) * math.exp(self.lam))
-        shift = np.maximum(w - self.lam - np.log1p(-q), 0.0)
+        lam = self.lam
+        if lam + math.log(lam) > _LOG_W_ARG_MAX:
+            shift = np.log(lam / _w0_of_log(math.log(lam) + np.log1p(-q) + lam))
+        else:
+            shift = lambert_w0(lam * (1.0 - q) * math.exp(lam)) - lam - np.log1p(-q)
+        shift = np.maximum(shift, 0.0)
         # conjugate form of (-alpha + sqrt(alpha^2 + 2 beta shift)) / beta,
         # accurate when shift is small
         root = self.alpha + np.sqrt(self.alpha * self.alpha + 2.0 * self.beta * shift)

@@ -5,14 +5,20 @@ life, mean inactivity time, raw moments, median, order-statistic densities
 and a likelihood-ratio-order grid check.
 
 Quadrature is the primary computation for the integral quantities.  The
-triple-series rewrites are provided as cross-checks only: their k-expansion
-integrates a Gaussian-tail factor term by term over an infinite range, so
-the k-sums for the mean residual life and the raw moments have zero radius
-of convergence.  Those series are summed to the smallest term (asymptotic
-truncation) and always report a truncation-error estimate plus a
-convergence flag; they never silently return a value whose tail test
-failed.  The mean inactivity time series integrates over a finite range
-and genuinely converges.
+public functions check their arguments once; ``quad`` then integrates
+plain-float copies of the model's survival function and density, not the
+validating public methods.
+
+The triple-series rewrites are provided as cross-checks only: their
+k-expansion integrates a Gaussian-tail factor term by term over an
+infinite range, so the k-sums for the mean residual life and the raw
+moments have zero radius of convergence.  Those series are summed to the
+smallest term (asymptotic truncation) and always report a truncation-error
+estimate plus a convergence flag; they never silently return a value
+whose tail test failed.  The mean inactivity time series integrates over a
+finite range and genuinely converges.  The (shift, j) loop runs in Python;
+each j block is one numpy (i, k) array, summed over k row by row with the
+same stopping rules as a term-by-term loop.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .distributions import Clfrd
+from .distributions import _LOG_W_ARG_MAX, Clfrd
 from .special import lambert_w0, ln_gamma, regularized_gamma_p, regularized_gamma_q
 
 __all__ = [
@@ -102,9 +108,10 @@ def hazard_shape(model: Clfrd) -> HazardShape:
 
 
 def _tail_integral(func, lo: float, hi0: float, epsabs: float) -> float:
-    # integrate func over [lo, inf): finite leg to hi0, then doubling legs
-    # until a leg's contribution is negligible
-    hi = max(hi0, lo + 1.0)
+    # integrate func over [lo, inf): finite leg to hi0 (to lo + 1 when hi0
+    # is not past lo), then doubling legs until a leg's contribution is
+    # negligible.  A leg much wider than hi0 can step over all the mass.
+    hi = hi0 if hi0 > lo else lo + 1.0
     total = quad(func, lo, hi, epsabs=epsabs, limit=200)[0]
     for _ in range(64):
         piece = quad(func, hi, 2.0 * hi, epsabs=epsabs, limit=200)[0]
@@ -113,6 +120,27 @@ def _tail_integral(func, lo: float, hi0: float, epsabs: float) -> float:
         if abs(piece) < epsabs:
             break
     return total
+
+
+def _integrands(model: Clfrd):
+    """Plain-float log survival function and density for ``quad``.
+
+    The formulas of ``Clfrd.log_sf`` and ``Clfrd.log_pdf``, without their
+    argument checks and array handling: the public measures check their
+    arguments once, and quad evaluates an integrand ~100 times per leg.
+    """
+    a, b, lam = model.alpha, model.beta, model.lam
+
+    def log_sf(t):
+        y = a * t + 0.5 * b * t * t
+        return -y - lam + lam * math.exp(-y)
+
+    def pdf(t):
+        y = a * t + 0.5 * b * t * t
+        e = math.exp(-y)
+        return math.exp(math.log(a + b * t) + math.log1p(lam * e) - y - lam + lam * e)
+
+    return log_sf, pdf
 
 
 def mrl(model: Clfrd, x) -> float:
@@ -128,7 +156,8 @@ def mrl(model: Clfrd, x) -> float:
     if s == 0.0:
         raise ArithmeticError("mrl: survival function underflows to zero at this age")
     hi0 = model.quantile(1.0 - 1e-12)
-    return _tail_integral(model.sf, x, hi0, 1e-12) / s
+    log_sf, _ = _integrands(model)
+    return _tail_integral(lambda t: math.exp(log_sf(t)), x, hi0, 1e-12) / s
 
 
 def mit(model: Clfrd, x) -> float:
@@ -140,7 +169,8 @@ def mit(model: Clfrd, x) -> float:
     if x <= 0:
         raise ValueError("mit: x must be positive")
     c = model.cdf(x)
-    return quad(model.cdf, 0.0, x, epsabs=1e-12, limit=200)[0] / c
+    log_sf, _ = _integrands(model)
+    return quad(lambda t: -math.expm1(log_sf(t)), 0.0, x, epsabs=1e-12, limit=200)[0] / c
 
 
 def raw_moment(model: Clfrd, r: int) -> float:
@@ -149,16 +179,20 @@ def raw_moment(model: Clfrd, r: int) -> float:
         raise ValueError("raw_moment: r must be a positive integer")
     r = int(r)
     hi0 = model.quantile(1.0 - 1e-12)
-    return _tail_integral(lambda t: t**r * model.pdf(t), 0.0, hi0, 1e-12)
+    _, pdf = _integrands(model)
+    return _tail_integral(lambda t: t**r * pdf(t), 0.0, hi0, 1e-12)
 
 
 def median(model: Clfrd) -> float:
     """Closed-form median via the Lambert W function.
 
     Same expression as ``quantile(0.5)`` with the W argument reduced to
-    ``lam e^lam / 2``.
+    ``lam e^lam / 2``; for ``lam`` large enough that this argument
+    overflows, it is ``quantile(0.5)``, which solves for W in log space.
     """
     a, b, lam = model.alpha, model.beta, model.lam
+    if lam + math.log(lam) > _LOG_W_ARG_MAX:
+        return model.quantile(0.5)
     shift = lambert_w0(lam * math.exp(lam) / 2.0) - lam + math.log(2.0)
     shift = max(shift, 0.0)
     return 2.0 * shift / (a + math.sqrt(a * a + 2.0 * b * shift))
@@ -221,42 +255,93 @@ class SeriesResult(NamedTuple):
     tail_estimate: float
 
 
-def _coef_log(j: int, i: int, lam: float) -> float:
-    # log |binom(j, i) lam^j / j!|
-    return (
-        ln_gamma(j + 1.0)
-        - ln_gamma(i + 1.0)
-        - ln_gamma(j - i + 1.0)
-        + j * math.log(lam)
-        - ln_gamma(j + 1.0)
-    )
+def _k_sums(terms: np.ndarray, tol: float, allow_growth: bool):
+    """Row-wise k accumulation of an (i, k) term array.
 
-
-def _sum_series(model: Clfrd, slice_sum, trunc: SeriesTruncation) -> tuple[float, float, bool]:
-    """Outer (shift, j, i) accumulation shared by the three series.
-
-    ``slice_sum(shift, i, log_cij, sign)`` returns the k-sum of one slice
-    together with its truncation-error estimate and a flag saying whether
-    the k tail test was met.
+    A row stops after its first term below ``tol * |running total|``;
+    without ``allow_growth`` it stops sooner, before its first term that is
+    not smaller than the one before (the smallest term: asymptotic
+    truncation for the divergent expansions).  Returns per row the total,
+    the truncation-error estimate (the term a growth stop leaves out, 0
+    after the tail test, the last term if finite when neither stop was
+    met), whether the tail test was met, and the index of the last term
+    reached.
     """
-    lam = model.lam
+    n, width = terms.shape
+    mag = np.abs(terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # running[:, k] is the total before term k, summed from +0.0 in k order
+        running = np.cumsum(np.concatenate([np.zeros((n, 1)), terms], axis=1), axis=1)
+        small = mag < tol * np.maximum(np.abs(running[:, 1:]), 1e-300)
+    if allow_growth:
+        grew = np.zeros_like(small)
+    else:
+        grew = mag >= np.concatenate([np.full((n, 1), np.inf), mag[:, :-1]], axis=1)
+    stop = small | grew
+    hit = stop.any(axis=1)
+    last = np.where(hit, stop.argmax(axis=1), width - 1)
+    rows = np.arange(n)
+    grew = grew[rows, last]
+    ok = hit & ~grew
+    tail = mag[rows, last]
+    tail = np.where(ok | (~hit & ~np.isfinite(tail)), 0.0, tail)
+    return running[rows, last + 1 - grew], tail, ok, last
+
+
+def _log_gamma_integrals(s, c, x: float, upper: bool):
+    # log of the integral of t^(s-1) e^(-c t) over [x, inf) (upper) or [0, x]
+    reg = regularized_gamma_q(s, c * x) if upper else regularized_gamma_p(s, c * x)
+    with np.errstate(divide="ignore"):
+        return ln_gamma(s) + np.log(reg) - s * np.log(c)
+
+
+def _sum_series(model: Clfrd, trunc: SeriesTruncation, x: float, upper: bool, parts,
+                allow_growth: bool) -> tuple[float, float, bool]:
+    """Triple sum over (shift, j, i, k) shared by the three series.
+
+    The (i, k) term is ``sign * binom(j, i) lam^j / j! * beta^k (i+shift)^k
+    / (2^k k!)`` times the sum over ``parts`` of ``coeff`` times the
+    integral of ``t^(s-1) e^(-(i+shift) alpha t)`` over [x, inf) (upper)
+    or [0, x], where each part is ``(coeff, s0)`` with ``s = 2k + s0``.  The
+    gamma integrals of a shift are computed once for all its rows; each j
+    block is then one (i, k) array, summed over k row by row with
+    ``_k_sums``.  Blocks stop after two in a row below the tail tolerance.
+    """
+    a, b, lam = model.alpha, model.beta, model.lam
+    tol = trunc.tail_tolerance
+    k = np.arange(trunc.max_k + 1)
+    log_fact = ln_gamma(np.arange(1.0, max(trunc.max_j, trunc.max_k) + 2.0))  # log n!
+    ksign = np.where(k % 2, -1.0, 1.0)
+    s = np.arange(1.0, 2.0 * trunc.max_k + max(s0 for _, s0 in parts) + 1.0)
+    parts = [(coeff, s0) for coeff, s0 in parts if coeff != 0.0]
     total = 0.0
     tail = 0.0
     k_ok = True
     j_ok = True
     for shift, outer in ((1, 1.0), (2, lam)):
+        si = np.arange(min(trunc.max_j, trunc.max_i) + 1.0) + shift
+        # log | beta^k (i+shift)^k / (2^k k!) |
+        log_kw = k * (math.log(b) - math.log(2.0) + np.log(si))[:, None] - log_fact[k]
+        integrals = _log_gamma_integrals(s, si[:, None] * a, x, upper)
+        log_parts = [(coeff, log_kw + integrals[:, s0 - 1:s0 + 2 * trunc.max_k:2]) for coeff, s0 in parts]
         small_blocks = 0
         for j in range(trunc.max_j + 1):
-            block = 0.0
-            for i in range(min(j, trunc.max_i) + 1):
-                sign = -1.0 if (i + j) % 2 else 1.0
-                part, part_tail, part_ok = slice_sum(shift, i, _coef_log(j, i, lam), sign)
-                block += outer * part
-                tail = max(tail, outer * part_tail)
-                k_ok = k_ok and part_ok
+            n = min(j, trunc.max_i) + 1
+            i = np.arange(n)
+            # log |binom(j, i) lam^j / j!|
+            log_coef = (log_fact[j] - log_fact[i] - log_fact[j - i] + j * math.log(lam) - log_fact[j])[:, None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = sum(coeff * np.exp(log_coef + log_part[:n]) for coeff, log_part in log_parts)
+            terms = (np.where((i + j) % 2, -1.0, 1.0)[:, None] * ksign) * terms
+            part, part_tail, part_ok, last = _k_sums(terms, tol, allow_growth)
+            if not np.all(np.isfinite(terms[k <= last[:, None]])):
+                raise OverflowError("series term overflows float64")
+            block = float((outer * part).sum())
+            tail = max(tail, float((outer * part_tail).max()))
+            k_ok = k_ok and bool(part_ok.all())
             total += block
             scale = max(abs(total), 1e-300)
-            if abs(block) < trunc.tail_tolerance * scale:
+            if abs(block) < tol * scale:
                 small_blocks += 1
                 if small_blocks >= 2:
                     break
@@ -264,36 +349,8 @@ def _sum_series(model: Clfrd, slice_sum, trunc: SeriesTruncation) -> tuple[float
                 small_blocks = 0
         else:
             j_ok = False
-    converged = k_ok and j_ok and tail <= trunc.tail_tolerance * max(abs(total), 1e-300)
+    converged = k_ok and j_ok and tail <= tol * max(abs(total), 1e-300)
     return total, tail, converged
-
-
-def _k_sum(base_log, term_at_k, trunc, allow_growth):
-    # inner k accumulation; without allow_growth the sum stops at the
-    # smallest term (asymptotic truncation for the divergent expansions)
-    total = 0.0
-    prev_mag = math.inf
-    tail = 0.0
-    ok = False
-    for k in range(trunc.max_k + 1):
-        term = term_at_k(k, base_log)
-        mag = abs(term)
-        if not allow_growth and mag >= prev_mag:
-            tail = mag
-            break
-        total += term
-        prev_mag = mag
-        if mag < trunc.tail_tolerance * max(abs(total), 1e-300):
-            ok = True
-            break
-    else:
-        tail = prev_mag if math.isfinite(prev_mag) else 0.0
-    return total, tail, ok
-
-
-def _log_k_weight(k: int, shift_i: float, beta: float) -> float:
-    # log | beta^k (i+shift)^k / (2^k k!) |
-    return k * (math.log(beta) - math.log(2.0) + math.log(shift_i)) - ln_gamma(k + 1.0)
 
 
 def mrl_series(model: Clfrd, x, trunc: SeriesTruncation | None = None) -> SeriesResult:
@@ -313,33 +370,8 @@ def mrl_series(model: Clfrd, x, trunc: SeriesTruncation | None = None) -> Series
         raise ValueError("mrl_series: x must be nonnegative")
     trunc = trunc or SeriesTruncation()
     a, b = model.alpha, model.beta
-
-    def slice_sum(shift, i, log_cij, sign):
-        c = (i + shift) * a
-        cx = c * x
-
-        def term_at_k(k, base_log):
-            ksign = -1.0 if k % 2 else 1.0
-            w = base_log + _log_k_weight(k, i + shift, b)
-
-            def upper(s, coeff):
-                if coeff == 0.0:
-                    return 0.0
-                q = regularized_gamma_q(s, cx)
-                if q == 0.0:
-                    return 0.0
-                return math.copysign(
-                    math.exp(w + ln_gamma(s) + math.log(q) - s * math.log(c) + math.log(abs(coeff))),
-                    coeff,
-                )
-
-            return sign * ksign * (
-                upper(2 * k + 2, a - b * x) + upper(2 * k + 3, b) - upper(2 * k + 1, a * x)
-            )
-
-        return _k_sum(log_cij, term_at_k, trunc, allow_growth=False)
-
-    total, tail, converged = _sum_series(model, slice_sum, trunc)
+    parts = ((a - b * x, 2), (b, 3), (-a * x, 1))
+    total, tail, converged = _sum_series(model, trunc, x, True, parts, allow_growth=False)
     s = model.sf(x)
     return SeriesResult(total / s, converged, tail / s)
 
@@ -355,27 +387,8 @@ def mit_series(model: Clfrd, x, trunc: SeriesTruncation | None = None) -> Series
     if x <= 0:
         raise ValueError("mit_series: x must be positive")
     trunc = trunc or SeriesTruncation()
-    a, b = model.alpha, model.beta
-
-    def slice_sum(shift, i, log_cij, sign):
-        c = (i + shift) * a
-        cx = c * x
-
-        def term_at_k(k, base_log):
-            ksign = -1.0 if k % 2 else 1.0
-            w = base_log + _log_k_weight(k, i + shift, b)
-
-            def lower(s, coeff):
-                p = regularized_gamma_p(s, cx)
-                if p == 0.0 or coeff == 0.0:
-                    return 0.0
-                return coeff * math.exp(w + ln_gamma(s) + math.log(p) - s * math.log(c))
-
-            return sign * ksign * (lower(2 * k + 2, a) + lower(2 * k + 3, b))
-
-        return _k_sum(log_cij, term_at_k, trunc, allow_growth=True)
-
-    total, tail, converged = _sum_series(model, slice_sum, trunc)
+    parts = ((model.alpha, 2), (model.beta, 3))
+    total, tail, converged = _sum_series(model, trunc, x, False, parts, allow_growth=True)
     c = model.cdf(x)
     return SeriesResult(x - total / c, converged, tail / c)
 
@@ -384,25 +397,13 @@ def raw_moment_series(model: Clfrd, r: int, trunc: SeriesTruncation | None = Non
     """Triple-series rewrite of the r-th raw moment, as a cross-check.
 
     Same divergent k-expansion as the mean residual life series (infinite
-    integration range); summed to the smallest term with an error estimate.
+    integration range, here from 0: complete gamma factors); summed to the
+    smallest term with an error estimate.
     """
     if int(r) != r or r < 1:
         raise ValueError("raw_moment_series: r must be a positive integer")
     r = int(r)
     trunc = trunc or SeriesTruncation()
-    a, b = model.alpha, model.beta
-
-    def slice_sum(shift, i, log_cij, sign):
-        c = (i + shift) * a
-
-        def term_at_k(k, base_log):
-            ksign = -1.0 if k % 2 else 1.0
-            w = base_log + _log_k_weight(k, i + shift, b)
-            t1 = math.exp(w + math.log(a) + ln_gamma(r + 2 * k + 1) - (r + 2 * k + 1) * math.log(c))
-            t2 = math.exp(w + math.log(b) + ln_gamma(r + 2 * k + 2) - (r + 2 * k + 2) * math.log(c))
-            return sign * ksign * (t1 + t2)
-
-        return _k_sum(log_cij, term_at_k, trunc, allow_growth=False)
-
-    total, tail, converged = _sum_series(model, slice_sum, trunc)
+    parts = ((model.alpha, r + 1), (model.beta, r + 2))
+    total, tail, converged = _sum_series(model, trunc, 0.0, True, parts, allow_growth=False)
     return SeriesResult(total, converged, tail)

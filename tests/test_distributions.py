@@ -151,6 +151,16 @@ class TestClfrdQuantile:
         q = np.arange(0.01, 0.995, 0.01)
         np.testing.assert_allclose(m.cdf(m.quantile(q)), q, atol=1e-9)
 
+    @pytest.mark.parametrize("lam", [703.0, 710.0, 1e3, 1e5])
+    def test_round_trip_at_large_lam(self, lam):
+        # lam (1 - q) e^lam overflows or W's Halley step does; the quantile
+        # solves for W in log space here
+        m = Clfrd(1.0, 1.0, lam)
+        q = np.concatenate([[0.0, 1e-9, 1e-6], np.arange(0.01, 0.995, 0.01), [1.0 - 1e-12, 1.0 - 2.0**-53]])
+        x = m.quantile(q)
+        assert np.all(np.diff(x) >= 0.0)
+        np.testing.assert_allclose(m.cdf(x), q, rtol=0.0, atol=1e-9)
+
 
 @pytest.mark.parametrize("params", PARAMETER_SETS)
 def test_pdf_normalization(params):

@@ -44,6 +44,19 @@ MIT_TABLE = {
     (0.5, 0.5, 0.5): 0.2556945,
 }
 
+# mrl at ages 0.5, 1, 2, mit at 0.5, 1, 2, and raw moments 1-2, from the
+# quadrature over the public sf/cdf/pdf methods (repr of each float)
+QUADRATURE_VALUES = {
+    (2.0, 2.0, 2.0): (0.22112344158245384, 0.21592158812842338, 0.15858369028361424, 0.3592062402745745, 0.8270604223856429, 1.8193869370272162, 0.18070292296945695, 0.07092651244277969),
+    (2.0, 2.0, 0.5): (0.2668270102506259, 0.2236712462548347, 0.15862265032397474, 0.3090133011839446, 0.7228375108188994, 1.6939119792819817, 0.3064650161462755, 0.1740086482821821),
+    (2.0, 0.5, 2.0): (0.29946203710314095, 0.3380168736435859, 0.315193151089286, 0.3578331223703863, 0.8168078836328123, 1.7984231716770844, 0.20353034573835868, 0.10108666761990538),
+    (2.0, 0.5, 0.5): (0.37738170414539224, 0.36427637475444186, 0.31675002375185723, 0.3114150248591442, 0.7123531195666744, 1.647858085937467, 0.36019791315401106, 0.26617141706684383),
+    (0.5, 2.0, 2.0): (0.2831307099710317, 0.2679809234069543, 0.20347403254164445, 0.27140616366559495, 0.6621772028333291, 1.619975674407566, 0.3817096554795765, 0.24147753064190536),
+    (0.5, 2.0, 0.5): (0.3962282412499075, 0.30993811929557363, 0.20446423497477245, 0.24175152848624817, 0.5547365333723804, 1.4306086855737445, 0.5760960337529624, 0.4988906636982519),
+    (0.5, 0.5, 2.0): (0.5214661074434637, 0.515611545180915, 0.5039739766866193, 0.2763927586285451, 0.6222209421450093, 1.4828274804147263, 0.5648734967394611, 0.5995824400478522),
+    (0.5, 0.5, 0.5): (0.7728661353227407, 0.68391603702276, 0.5524173436137448, 0.2556945361819028, 0.5427584676633337, 1.2565686987708555, 0.9023176900867494, 1.3431193421254333),
+}
+
 
 class TestPdfShape:
     def test_low_alpha_is_unimodal(self):
@@ -146,6 +159,14 @@ class TestHazardShape:
         assert checked > 100
 
 
+@pytest.mark.parametrize("params,expected", sorted(QUADRATURE_VALUES.items()))
+def test_quadrature_on_raw_integrands_keeps_its_values(params, expected):
+    m = Clfrd(*params)
+    got = [mrl(m, x) for x in (0.5, 1.0, 2.0)] + [mit(m, x) for x in (0.5, 1.0, 2.0)]
+    got += [raw_moment(m, 1), raw_moment(m, 2)]
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
 class TestMrl:
     @pytest.mark.parametrize("params,expected", sorted(MRL_TABLE.items()))
     def test_reference_table(self, params, expected):
@@ -162,6 +183,15 @@ class TestMrl:
     def test_underflow_guard(self):
         with pytest.raises(ArithmeticError):
             mrl(Clfrd(2, 2, 2), 80.0)
+
+    @pytest.mark.parametrize("lam", [703.0, 1e3, 1e5])
+    def test_at_large_lam(self, lam):
+        # the mass sits far below age 1: the first quadrature leg must not
+        # be wider than the 1 - 1e-12 quantile
+        m = Clfrd(1.0, 1.0, lam)
+        expected = quad(m.sf, 0.0, m.quantile(1.0 - 1e-15), epsabs=1e-15, limit=500)[0]
+        assert mrl(m, 0.0) == pytest.approx(expected, rel=1e-9)
+        assert raw_moment(m, 1) == pytest.approx(expected, rel=1e-9)
 
     def test_alpha_direction_in_table(self):
         # smaller initial hazard leaves more life after age 0.5
@@ -219,6 +249,12 @@ class TestMedian:
 
     def test_round_trip(self):
         m = Clfrd(0.5, 2.0, 0.5)
+        assert m.cdf(median(m)) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("lam", [703.0, 710.0, 1e3, 1e5])
+    def test_large_lam(self, lam):
+        m = Clfrd(1.0, 1.0, lam)
+        assert median(m) == m.quantile(0.5)
         assert m.cdf(median(m)) == pytest.approx(0.5, abs=1e-9)
 
     def test_against_bisection(self):

@@ -60,6 +60,14 @@ class TestInverseSampler:
         b = sample_compound(m, 10**4, SeededStream(12))
         assert ks_2samp(a, b).pvalue > 0.01
 
+    def test_compound_matches_inverse_at_large_lam(self):
+        # lam e^lam overflows float64 here
+        m = Clfrd(1.0, 1.0, 1e3)
+        a = sample_inverse(m, 10**4, SeededStream(13))
+        b = sample_compound(m, 10**4, SeededStream(14))
+        assert np.all(np.isfinite(a)) and np.all(a >= 0.0)
+        assert ks_2samp(a, b).pvalue > 0.01
+
 
 class TestCompoundSampler:
     def test_lfr_limit(self):

@@ -10,11 +10,16 @@ they are excellent; elsewhere they must flag non-convergence rather than
 return a silently wrong value.
 """
 
+import math
+
+import numpy as np
 import pytest
+from scipy.special import gammainc, gammaincc
 
 from clfrd import (
     Clfrd,
     LinearFailureRate,
+    SeriesResult,
     SeriesTruncation,
     mit,
     mit_series,
@@ -23,7 +28,10 @@ from clfrd import (
     raw_moment,
     raw_moment_series,
 )
+from clfrd.properties import _k_sums
 from scipy.integrate import quad
+
+from conftest import PARAMETER_SETS
 
 
 @pytest.mark.parametrize(
@@ -117,3 +125,201 @@ class TestRawMomentSeries:
     def test_domain(self):
         with pytest.raises(ValueError):
             raw_moment_series(Clfrd(2, 2, 2), 0)
+
+
+# ---------------------------------------------------------------------------
+# scalar loop reference: the term-by-term summation the vectorized series
+# reproduce, with scipy's scalar incomplete gamma functions
+
+
+def loop_k_sum(terms, tol, allow_growth):
+    total = 0.0
+    prev_mag = math.inf
+    tail = 0.0
+    ok = False
+    for term in terms:
+        mag = abs(term)
+        if not allow_growth and mag >= prev_mag:
+            tail = mag
+            break
+        total += term
+        prev_mag = mag
+        if mag < tol * max(abs(total), 1e-300):
+            ok = True
+            break
+    else:
+        tail = prev_mag if math.isfinite(prev_mag) else 0.0
+    return total, tail, ok
+
+
+def loop_series(model, trunc, term_at, allow_growth):
+    # term_at(shift, i, c, k, w): the unsigned k-term of slice (shift, i)
+    a, b, lam = model.alpha, model.beta, model.lam
+    tol = trunc.tail_tolerance
+    total = tail = 0.0
+    k_ok = j_ok = True
+    for shift, outer in ((1, 1.0), (2, lam)):
+        small_blocks = 0
+        for j in range(trunc.max_j + 1):
+            block = 0.0
+            for i in range(min(j, trunc.max_i) + 1):
+                sign = -1.0 if (i + j) % 2 else 1.0
+                base = (math.lgamma(j + 1.0) - math.lgamma(i + 1.0) - math.lgamma(j - i + 1.0)
+                        + j * math.log(lam) - math.lgamma(j + 1.0))
+                c = (i + shift) * a
+
+                def terms():
+                    for k in range(trunc.max_k + 1):
+                        w = base + k * (math.log(b) - math.log(2.0) + math.log(i + shift)) - math.lgamma(k + 1.0)
+                        yield sign * (-1.0 if k % 2 else 1.0) * term_at(c, k, w)
+
+                part, part_tail, part_ok = loop_k_sum(terms(), tol, allow_growth)
+                block += outer * part
+                tail = max(tail, outer * part_tail)
+                k_ok = k_ok and part_ok
+            total += block
+            if abs(block) < tol * max(abs(total), 1e-300):
+                small_blocks += 1
+                if small_blocks >= 2:
+                    break
+            else:
+                small_blocks = 0
+        else:
+            j_ok = False
+    return total, tail, k_ok and j_ok and tail <= tol * max(abs(total), 1e-300)
+
+
+def gamma_integral(s, c, lo, hi, coeff, w):
+    # coeff * e^w * integral of t^(s-1) e^(-c t) over [lo, hi], hi = inf or lo = 0
+    reg = gammaincc(s, c * lo) if hi == math.inf else gammainc(s, c * hi)
+    if coeff == 0.0 or reg == 0.0:
+        return 0.0
+    return math.copysign(
+        math.exp(w + math.lgamma(s) + math.log(reg) - s * math.log(c) + math.log(abs(coeff))), coeff)
+
+
+def loop_mit_series(model, x, trunc):
+    a, b = model.alpha, model.beta
+
+    def term_at(c, k, w):
+        return gamma_integral(2 * k + 2, c, 0.0, x, a, w) + gamma_integral(2 * k + 3, c, 0.0, x, b, w)
+
+    total, tail, converged = loop_series(model, trunc, term_at, allow_growth=True)
+    cdf = model.cdf(x)
+    return SeriesResult(x - total / cdf, converged, tail / cdf)
+
+
+def loop_mrl_series(model, x, trunc):
+    a, b = model.alpha, model.beta
+
+    def term_at(c, k, w):
+        return (gamma_integral(2 * k + 2, c, x, math.inf, a - b * x, w)
+                + gamma_integral(2 * k + 3, c, x, math.inf, b, w)
+                - gamma_integral(2 * k + 1, c, x, math.inf, a * x, w))
+
+    total, tail, converged = loop_series(model, trunc, term_at, allow_growth=False)
+    sf = model.sf(x)
+    return SeriesResult(total / sf, converged, tail / sf)
+
+
+def loop_raw_moment_series(model, r, trunc):
+    a, b = model.alpha, model.beta
+
+    def term_at(c, k, w):
+        t1 = math.exp(w + math.log(a) + math.lgamma(r + 2 * k + 1) - (r + 2 * k + 1) * math.log(c))
+        t2 = math.exp(w + math.log(b) + math.lgamma(r + 2 * k + 2) - (r + 2 * k + 2) * math.log(c))
+        return t1 + t2
+
+    total, tail, converged = loop_series(model, trunc, term_at, allow_growth=False)
+    return SeriesResult(total, converged, tail)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("allow_growth", [False, True])
+@pytest.mark.parametrize("width", [1, 2, 5, 41])
+def test_row_k_sums_match_the_loop_bit_for_bit(allow_growth, width):
+    rng = np.random.default_rng(width + 100 * allow_growth)
+    rows = []
+    for _ in range(400):
+        mag = np.exp(rng.normal(0.0, 8.0, width))
+        mag = np.where(rng.random(width) < 0.3, np.roll(mag, 1), mag)  # exact magnitude ties
+        row = mag * rng.choice([-1.0, 1.0], width)
+        row[rng.random(width) < 0.1] = 0.0
+        row[rng.random(width) < 0.05] = math.inf
+        row[rng.random(width) < 0.05] = -math.inf
+        rows.append(row)
+    # rows that stop at the smallest term, at a relative tail, or never
+    rows.append(np.geomspace(1.0, 1e-30, width) * (-1.0) ** np.arange(width))
+    rows.append(np.geomspace(1e-30, 1.0, width))
+    rows.append(np.full(width, 2.5))
+    rows.append(np.zeros(width))
+    terms = np.array(rows)
+    for tol in (1e-10, 0.5):
+        total, tail, ok, _ = _k_sums(terms, tol, allow_growth)
+        expected = [loop_k_sum(row.tolist(), tol, allow_growth) for row in rows]
+        assert _hex(total) == _hex(e[0] for e in expected)
+        assert _hex(tail) == _hex(e[1] for e in expected)
+        assert ok.tolist() == [e[2] for e in expected]
+
+
+def assert_matches_loop(result, expected, magnitude_ties=False):
+    assert result.converged == expected.converged
+    if magnitude_ties and not expected.converged:
+        # the raw-moment k-terms can tie exactly in magnitude, and rounding
+        # then decides which of the tied terms a divergent row stops before
+        slack = max(result.tail_estimate, expected.tail_estimate) + 1e-12 * abs(expected.value)
+        assert abs(result.value - expected.value) <= slack
+    else:
+        assert result.value == pytest.approx(expected.value, rel=1e-12)
+        assert result.tail_estimate == pytest.approx(expected.tail_estimate, rel=1e-12)
+
+
+@pytest.mark.parametrize("params", PARAMETER_SETS)
+@pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
+def test_series_match_the_scalar_loop(params, x):
+    m = Clfrd(*params)
+    trunc = SeriesTruncation()
+    assert_matches_loop(mit_series(m, x), loop_mit_series(m, x, trunc))
+    assert_matches_loop(mrl_series(m, x), loop_mrl_series(m, x, trunc))
+
+
+@pytest.mark.parametrize("params", PARAMETER_SETS)
+@pytest.mark.parametrize("r", [1, 2])
+def test_raw_moment_series_matches_the_scalar_loop(params, r):
+    m = Clfrd(*params)
+    expected = loop_raw_moment_series(m, r, SeriesTruncation())
+    assert_matches_loop(raw_moment_series(m, r), expected, magnitude_ties=True)
+
+
+@pytest.mark.parametrize("params", [(1.3, 0.7, 1.1), (2.0, 0.05, 0.5), (0.9, 3.1, 0.2)])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_raw_moment_series_matches_the_scalar_loop_without_ties(params, r):
+    m = Clfrd(*params)
+    assert_matches_loop(raw_moment_series(m, r), loop_raw_moment_series(m, r, SeriesTruncation()))
+
+
+@pytest.mark.parametrize(
+    "trunc",
+    [SeriesTruncation(max_i=3, max_j=12, max_k=20), SeriesTruncation(max_i=5, max_j=5, max_k=0),
+     SeriesTruncation(max_k=300, tail_tolerance=1e-6)],
+)
+def test_series_match_the_scalar_loop_under_other_caps(trunc):
+    m = Clfrd(2.0, 0.5, 2.0)
+    assert_matches_loop(mit_series(m, 2.0, trunc), loop_mit_series(m, 2.0, trunc))
+    assert_matches_loop(mrl_series(m, 1.0, trunc), loop_mrl_series(m, 1.0, trunc))
+    assert_matches_loop(raw_moment_series(m, 2, trunc), loop_raw_moment_series(m, 2, trunc), magnitude_ties=True)
+
+
+def test_overflow_past_the_smallest_term_is_not_reached():
+    # tiny alpha: the k-terms overflow float64 well after the smallest term,
+    # where the residual-life sum has already stopped
+    m = Clfrd(1e-8, 1.0, 1.0)
+    assert_matches_loop(mrl_series(m, 0.5), loop_mrl_series(m, 0.5, SeriesTruncation()))
+
+
+def test_overflowing_term_raises():
+    with pytest.raises(OverflowError):
+        mit_series(Clfrd(1.0, 1e3, 1.0), 12.0, SeriesTruncation(max_k=300))
