@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .special import lambert_w0
+from .special import _LOG_W_ARG_MAX, _w0_of_log, lambert_w0
 
 __all__ = [
     "LifetimeModel",
@@ -46,27 +46,6 @@ def _match(x, values):
     if np.ndim(x) == 0:
         return float(np.asarray(values).reshape(()))
     return values
-
-
-# Past this log(lam e^lam) the CLFRD quantile solves for W in log space:
-# the W argument lam (1 - q) e^lam overflows from lam ~ 703.2, and W's
-# Halley step already gives wrong quantiles at lam = 702
-_LOG_W_ARG_MAX = 700.0
-
-
-def _w0_of_log(log_z):
-    """W0(e^log_z) for log_z >= 600 by Newton steps on w + log w = log_z.
-
-    The equation is concave in w, so from ``log_z - log(log_z)`` the steps
-    rise monotonically to the root.
-    """
-    w = log_z - np.log(log_z)
-    for _ in range(64):
-        dw = (w + np.log(w) - log_z) * w / (w + 1.0)
-        w = w - dw
-        if np.all(np.abs(dw) <= 1e-15 * w):
-            break
-    return w
 
 
 def _as_prob_array(q):

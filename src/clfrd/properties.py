@@ -31,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .distributions import _LOG_W_ARG_MAX, Clfrd
-from .special import lambert_w0, ln_gamma, regularized_gamma_p, regularized_gamma_q
+from .distributions import Clfrd
+from .special import _LOG_W_ARG_MAX, lambert_w0, ln_gamma, regularized_gamma_p, regularized_gamma_q
 
 __all__ = [
     "PdfShape",
@@ -289,10 +289,16 @@ def _k_sums(terms: np.ndarray, tol: float, allow_growth: bool):
 
 
 def _log_gamma_integrals(s, c, x: float, upper: bool):
-    # log of the integral of t^(s-1) e^(-c t) over [x, inf) (upper) or [0, x]
+    """Log of the integral of t^(s-1) e^(-c t) over [x, inf) (upper) or [0, x].
+
+    Also the log of a bound on its error: a regularized factor below the
+    smallest normal float, ``tiny``, may be off by up to ``tiny`` (-inf elsewhere).
+    """
     reg = regularized_gamma_q(s, c * x) if upper else regularized_gamma_p(s, c * x)
+    log_gamma, log_c, tiny = ln_gamma(s), np.log(c), np.finfo(float).tiny
     with np.errstate(divide="ignore"):
-        return ln_gamma(s) + np.log(reg) - s * np.log(c)
+        log_integral = log_gamma + np.log(reg) - s * log_c
+    return log_integral, np.where(reg < tiny, log_gamma + math.log(tiny) - s * log_c, -np.inf)
 
 
 def _sum_series(model: Clfrd, trunc: SeriesTruncation, x: float, upper: bool, parts,
@@ -306,6 +312,8 @@ def _sum_series(model: Clfrd, trunc: SeriesTruncation, x: float, upper: bool, pa
     gamma integrals of a shift are computed once for all its rows; each j
     block is then one (i, k) array, summed over k row by row with
     ``_k_sums``.  Blocks stop after two in a row below the tail tolerance.
+    The flag also needs a bound on what gamma factors that underflowed left
+    out of the reached terms to stay within the tolerance of the total.
     """
     a, b, lam = model.alpha, model.beta, model.lam
     tol = trunc.tail_tolerance
@@ -316,14 +324,17 @@ def _sum_series(model: Clfrd, trunc: SeriesTruncation, x: float, upper: bool, pa
     parts = [(coeff, s0) for coeff, s0 in parts if coeff != 0.0]
     total = 0.0
     tail = 0.0
+    underflow_error = 0.0  # bound on what underflowed gamma factors left out
     k_ok = True
     j_ok = True
     for shift, outer in ((1, 1.0), (2, lam)):
         si = np.arange(min(trunc.max_j, trunc.max_i) + 1.0) + shift
         # log | beta^k (i+shift)^k / (2^k k!) |
         log_kw = k * (math.log(b) - math.log(2.0) + np.log(si))[:, None] - log_fact[k]
-        integrals = _log_gamma_integrals(s, si[:, None] * a, x, upper)
+        integrals, errors = _log_gamma_integrals(s, si[:, None] * a, x, upper)
         log_parts = [(coeff, log_kw + integrals[:, s0 - 1:s0 + 2 * trunc.max_k:2]) for coeff, s0 in parts]
+        log_errors = [(abs(coeff), log_kw + errors[:, s0 - 1:s0 + 2 * trunc.max_k:2]) for coeff, s0 in parts]
+        any_error = bool(np.any(errors > -np.inf))
         small_blocks = 0
         for j in range(trunc.max_j + 1):
             n = min(j, trunc.max_i) + 1
@@ -334,11 +345,16 @@ def _sum_series(model: Clfrd, trunc: SeriesTruncation, x: float, upper: bool, pa
                 terms = sum(coeff * np.exp(log_coef + log_part[:n]) for coeff, log_part in log_parts)
             terms = (np.where((i + j) % 2, -1.0, 1.0)[:, None] * ksign) * terms
             part, part_tail, part_ok, last = _k_sums(terms, tol, allow_growth)
-            if not np.all(np.isfinite(terms[k <= last[:, None]])):
+            reached = k <= last[:, None]
+            if not np.all(np.isfinite(terms[reached])):
                 raise OverflowError("series term overflows float64")
             block = float((outer * part).sum())
             tail = max(tail, float((outer * part_tail).max()))
             k_ok = k_ok and bool(part_ok.all())
+            if any_error:
+                with np.errstate(over="ignore"):
+                    error = sum(coeff * np.exp(log_coef + log_error[:n]) for coeff, log_error in log_errors)
+                underflow_error += float(outer * error[reached].sum())
             total += block
             scale = max(abs(total), 1e-300)
             if abs(block) < tol * scale:
@@ -349,7 +365,7 @@ def _sum_series(model: Clfrd, trunc: SeriesTruncation, x: float, upper: bool, pa
                 small_blocks = 0
         else:
             j_ok = False
-    converged = k_ok and j_ok and tail <= tol * max(abs(total), 1e-300)
+    converged = k_ok and j_ok and max(tail, underflow_error) <= tol * max(abs(total), 1e-300)
     return total, tail, converged
 
 

@@ -6,12 +6,13 @@ parameter (mean, bias, SD, MSE, normal-theory band of the estimate
 distribution).  By construction ``mse = bias^2 + sd^2`` and
 ``ciw = 2 z sd`` with ``z`` the 97.5% normal quantile.
 
-Each replication runs a bounded quasi-Newton fit started at the true
-parameters (see ``estimation``): the study measures the sampling
-behaviour of the local MLE, so the start removes multistart selection
-effects.  The sample is validated once, by ``fit_clfrd``; the optimizer
-then evaluates raw log-likelihood kernels, taking L-BFGS-B's own
-forward-difference gradient in one numpy pass per point.
+Each replication runs the local fit of ``estimation``, a bounded
+quasi-Newton search that ``FitOptions.start`` selects, started at the
+true parameters: the study measures the sampling behaviour of the local
+MLE, so the start removes multistart selection effects.  The sample is
+validated once, by ``fit_clfrd``; the optimizer then evaluates raw
+log-likelihood kernels, taking L-BFGS-B's own forward-difference
+gradient in one numpy pass per point.
 
 The likelihood's compounding ridge means a few samples have no interior
 optimum; replications whose fit hits the iteration cap are counted as
@@ -129,7 +130,6 @@ def run_cell(params: Clfrd, n: int, reps: int, seed: int,
         raise ValueError("run_cell: need at least 2 replications")
     truth = params.to_vector()
     opts = FitOptions(
-        optimizer_kind="local",
         start=tuple(truth),
         max_iterations=_FIT_ITERATION_CAP,
         compute_covariance=False,

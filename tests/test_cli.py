@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -72,6 +73,27 @@ class TestCompare:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+class TestPinnedFitOutput:
+    # sha256 of the --no-meta JSON bytes: any change in a printed estimate,
+    # statistic or flag changes them
+    PINNED = {
+        ("compare", "students"): "6f3689bbdef37e2bbb99e5b1cb053abd881f4c5899a552a7d1e742982a6e41a8",
+        ("compare", "appliances"): "3b28ba73a6fb5f85f792dd72129a79969d3936b2dcedd41ec0cfc8be0156483e",
+        ("compare", "devices"): "3701b946e715733fa33ccb76bc5bc8d34b0c4df6c90c6b84a87bb7259798ea5f",
+        ("fit", "students"): "c4ea27d813edf9fb271c85025cf2ce5755890c22ce77c2b662de313d3b070670",
+        ("fit", "appliances"): "9c1c5f3da5c84dc31e7e0065899040e4a83b18aa68c1bfd07ad9190e1b166726",
+        ("fit", "devices"): "911e08e3f08366d93d0bed2a737bad6b44cb8345110f15164cae9be2cc1378ad",
+    }
+
+    @pytest.mark.parametrize("command, dataset", sorted(PINNED))
+    def test_json_bytes(self, capsys, command, dataset):
+        model = ("--model", "clfrd") if command == "fit" else ()
+        code, out, _ = run_cli(capsys, command, "--data", f"builtin:{dataset}", *model,
+                               "--format", "json", "--no-meta")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[command, dataset]
 
 
 class TestSimulate:

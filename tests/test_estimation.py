@@ -5,8 +5,10 @@ import pytest
 from scipy.optimize import approx_fprime, minimize
 
 from clfrd import (
+    MODEL_REGISTRY,
     Clfrd,
     FitOptions,
+    NonConvergenceError,
     SeededStream,
     clfrd_loglik,
     clfrd_observed_information,
@@ -14,10 +16,11 @@ from clfrd import (
     fit_baselines,
     fit_clfrd,
     fit_model,
+    builtin,
     sample_inverse,
     wald_ci,
 )
-from clfrd.estimation import _loglik_rows, _neg_loglik_fd
+from clfrd.estimation import _FAMILIES, _loglik_rows, _neg_loglik_fd
 from clfrd.simulation import DEFAULT_PARAMETER_SETS, DEFAULT_SEED, _cell_seed
 
 # published estimates for the three benchmark datasets
@@ -131,14 +134,13 @@ class TestFitClfrd:
 
     def test_refit_from_optimum_is_fixed_point(self, students):
         fit = fit_clfrd(students)
-        opts = FitOptions(optimizer_kind="local", start=tuple(fit.model.to_vector()))
+        opts = FitOptions(start=tuple(fit.model.to_vector()))
         again = fit_clfrd(students, opts)
         assert again.neg2_loglik >= fit.neg2_loglik - 1e-6
 
     def test_simulated_recovery_smoke(self):
         truth = Clfrd(0.5, 0.5, 0.5)
-        opts = FitOptions(optimizer_kind="local", start=(0.5, 0.5, 0.5),
-                          max_iterations=100, compute_covariance=False)
+        opts = FitOptions(start=(0.5, 0.5, 0.5), max_iterations=100, compute_covariance=False)
         estimates = []
         for r in range(30):
             data = sample_inverse(truth, 300, SeededStream(888, r))
@@ -154,10 +156,6 @@ class TestFitClfrd:
     def test_minimum_sample_size(self):
         with pytest.raises(ValueError):
             fit_clfrd([1.0, 2.0, 3.0])
-
-    def test_local_requires_start(self):
-        with pytest.raises(ValueError):
-            fit_clfrd([1.0, 2.0, 3.0, 4.0], FitOptions(optimizer_kind="local"))
 
     def test_devices_boundary_fit(self, devices):
         # the likelihood supremum for this dataset is the plain
@@ -261,8 +259,8 @@ class TestRawKernels:
         for set_id, n, r in cases:
             truth = DEFAULT_PARAMETER_SETS[set_id - 1]
             x = sample_inverse(truth, n, SeededStream(_cell_seed(DEFAULT_SEED, set_id, n), r))
-            opts = FitOptions(optimizer_kind="local", start=tuple(truth.to_vector()),
-                              max_iterations=100, compute_covariance=False)
+            opts = FitOptions(start=tuple(truth.to_vector()), max_iterations=100,
+                              compute_covariance=False)
             fit = fit_clfrd(x, opts)
             ref = reference_local_fit(x, opts.start, opts.max_iterations)
             case = (set_id, n, r)
@@ -275,8 +273,7 @@ class TestRawKernels:
 
 class TestLocalFitFlags:
     # set 1 at n=100 from its true parameters, with the study's iteration cap
-    OPTS = dict(optimizer_kind="local", start=(2.0, 2.0, 2.0), max_iterations=100,
-                compute_covariance=False)
+    OPTS = dict(start=(2.0, 2.0, 2.0), max_iterations=100, compute_covariance=False)
 
     def _fit(self, r):
         return fit_clfrd(sample_inverse(Clfrd(2.0, 2.0, 2.0), 100, SeededStream(7, r)),
@@ -306,15 +303,10 @@ class TestFitOptions:
                                        (1.0, math.inf, 1.0)])
     def test_rejects_invalid_start(self, start):
         with pytest.raises(ValueError, match="start"):
-            FitOptions(optimizer_kind="local", start=start)
+            FitOptions(start=start)
 
     def test_accepts_positive_start(self):
-        assert FitOptions(optimizer_kind="local", start=(1, 2.0, 3e-9)).start == (1, 2.0, 3e-9)
-
-    def test_rejects_restart_count_above_grid(self):
-        FitOptions(restart_count=6)
-        with pytest.raises(ValueError, match="restart_count"):
-            FitOptions(restart_count=7)
+        assert FitOptions(start=(1, 2.0, 3e-9)).start == (1, 2.0, 3e-9)
 
 
 class TestWaldCi:
@@ -336,7 +328,7 @@ class TestWaldCi:
     def test_simulated_coverage(self):
         # set 8 at n = 300: empirical alpha coverage of the 95% interval
         truth = Clfrd(0.5, 0.5, 0.5)
-        opts = FitOptions(optimizer_kind="local", start=(0.5, 0.5, 0.5), max_iterations=100)
+        opts = FitOptions(start=(0.5, 0.5, 0.5), max_iterations=100)
         hits = total = 0
         for r in range(500):
             data = sample_inverse(truth, 300, SeededStream(424242, r))
@@ -382,3 +374,64 @@ class TestBaselineFits:
     def test_unknown_model(self, students):
         with pytest.raises(ValueError):
             fit_model("weibull", students)
+
+
+class TestFittingDriver:
+    DATASETS = ("students", "appliances", "devices")
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    @pytest.mark.parametrize("dataset", DATASETS)
+    def test_every_family_passes_the_gate(self, name, dataset):
+        x = builtin(dataset).values
+        fit = fit_model(name, x)
+        theta = fit.model.to_vector()
+        # sup-norm of the log-scale gradient per observation, the driver's gate
+        assert fit.converged
+        assert np.max(np.abs(_FAMILIES[name].score(theta, x) * theta)) / x.size < 1e-5
+        assert fit.n_restarts_used == len(_FAMILIES[name].starts(x))
+
+    @pytest.mark.parametrize("name", ["lfrd", "rd", "ed", "ged"])
+    def test_baseline_kernels_match_finite_differences(self, name, students):
+        # score against central differences of the family's own log_pdf sum,
+        # information against central differences of the score, off the optimum
+        family = _FAMILIES[name]
+        theta = fit_model(name, students).model.to_vector() * 1.3
+        loglik = lambda t: float(np.sum(MODEL_REGISTRY[name](*t).log_pdf(students)))
+        h = 1e-6 * theta
+        step = np.diag(h)
+        fd_score = [(loglik(theta + e) - loglik(theta - e)) / (2 * hi) for e, hi in zip(step, h)]
+        np.testing.assert_allclose(family.score(theta, students), fd_score, rtol=1e-6, atol=1e-6)
+        score = lambda t: family.score(t, students)
+        fd_info = np.array([-(score(theta + e) - score(theta - e)) / (2 * hi) for e, hi in zip(step, h)])
+        np.testing.assert_allclose(family.information(theta, students), fd_info.T, rtol=1e-6)
+
+    @pytest.mark.parametrize("dataset", DATASETS)
+    def test_closed_forms_within_one_ulp(self, dataset):
+        x = builtin(dataset).values
+        closed = {"ed": x.size / float(x.sum()),
+                  "rd": math.sqrt(float((x * x).sum()) / (2.0 * x.size))}
+        for name, estimate in closed.items():
+            fit = fit_model(name, x)
+            (value,) = fit.params.values()
+            assert abs(value - estimate) <= math.ulp(estimate), name
+            assert fit.iterations == 0
+
+    def test_start_alone_selects_the_local_fit(self, students):
+        start = (6e-4, 1e-3, 1.7)
+        fit = fit_clfrd(students, FitOptions(start=start))
+        ref = reference_local_fit(students, start, FitOptions().max_iterations)
+        np.testing.assert_array_equal(fit.model.to_vector(), ref.x)
+        assert fit.iterations == ref.nit
+        assert fit.n_restarts_used == 1
+        assert fit_model("clfrd", students, FitOptions(start=start)).params == fit.params
+
+    @pytest.mark.parametrize("name", ["lfrd", "rd", "ed", "ged"])
+    def test_baseline_rejects_a_start(self, name, students):
+        with pytest.raises(ValueError, match="start"):
+            fit_model(name, students, FitOptions(start=(1.0, 1.0, 1.0)))
+
+    @pytest.mark.parametrize("name", ["lfrd", "ged"])
+    def test_no_start_passing_the_gate_raises(self, name, students):
+        # one BFGS step, then a 4-iteration simplex and one more step
+        with pytest.raises(NonConvergenceError, match="gradient gate"):
+            fit_model(name, students, FitOptions(max_iterations=1))

@@ -56,13 +56,24 @@ def test_mit_series_larger_age_with_wider_caps():
     assert result.value == pytest.approx(mit(m, 2.0), abs=1e-9)
 
 
-@pytest.mark.parametrize("params", [(0.5, 0.5, 0.5), (2.0, 2.0, 2.0), (0.5, 2.0, 2.0)])
-@pytest.mark.parametrize("x", [1.0, 2.0])
-def test_mit_series_accurate_whenever_flagged_converged(params, x):
-    # float64 cancellation can make wide-age sums infeasible; the flag must
-    # then be down, and an up flag must guarantee accuracy
+_MIT_FLAG_CASES = [
+    pytest.param(params, x, None, id=f"{x}-params{i}")
+    for x in (1.0, 2.0)
+    for i, params in enumerate([(0.5, 0.5, 0.5), (2.0, 2.0, 2.0), (0.5, 2.0, 2.0)])
+] + [
+    # tiny alpha: the lower incomplete gamma factors of large s underflow
+    # to 0 while the integrals they scale are large
+    pytest.param((1e-4, 1.0, 1.0), 3.0, SeriesTruncation(max_k=300), id="3.0-alpha1e-4-max_k300"),
+    pytest.param((1e-8, 1.0, 1.0), 8.0, None, id="8.0-alpha1e-8"),
+]
+
+
+@pytest.mark.parametrize("params, x, trunc", _MIT_FLAG_CASES)
+def test_mit_series_accurate_whenever_flagged_converged(params, x, trunc):
+    # float64 cancellation and underflow can make wide-age sums infeasible;
+    # the flag must then be down, and an up flag must guarantee accuracy
     m = Clfrd(*params)
-    result = mit_series(m, x)
+    result = mit_series(m, x, trunc)
     if result.converged:
         assert result.value == pytest.approx(mit(m, x), abs=1e-9)
 

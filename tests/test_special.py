@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ class TestLambertW:
         w = lambert_w0(z)
         residual = np.abs(w * np.exp(w) - z) / np.maximum(1.0, np.abs(z))
         assert residual.max() <= 1e-10
+
+    @pytest.mark.parametrize("z", [1e305, 1e308, np.finfo(float).max])
+    def test_log_space_beyond_exp_700(self, z):
+        # w e^w overflows here; the answer must come from w + log w = log z
+        # without an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = lambert_w0(z)
+            assert abs(w + math.log(w) - math.log(z)) <= 1e-15 * w
+            np.testing.assert_array_equal(lambert_w0(np.array([1.0, z])), [lambert_w0(1.0), w])
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
