@@ -21,7 +21,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .special import _LOG_W_ARG_MAX, _w0_of_log, lambert_w0
+from .special import _w0_of_log, lambert_w0
+
+# The quantile solves for W in log space once lam + log(lam), the log of
+# its W argument at q = 0, passes this.  The direct form loses digits to
+# cancellation in w - lam - log(1 - q) as lam grows; the log form needs
+# log(lam) + log1p(-q) + lam well above 0 even at q = 1 - 2^-53, which
+# fails below lam ~ 46.
+_LOG_SPACE_QUANTILE = 60.0
 
 __all__ = [
     "LifetimeModel",
@@ -165,7 +172,7 @@ class Clfrd(LifetimeModel):
         # the exponent alpha x + beta x^2 / 2 is w - lam - log(1 - q) = log(lam / w)
         q = _as_prob_array(q)
         lam = self.lam
-        if lam + math.log(lam) > _LOG_W_ARG_MAX:
+        if lam + math.log(lam) > _LOG_SPACE_QUANTILE:
             shift = np.log(lam / _w0_of_log(math.log(lam) + np.log1p(-q) + lam))
         else:
             shift = lambert_w0(lam * (1.0 - q) * math.exp(lam)) - lam - np.log1p(-q)

@@ -20,9 +20,14 @@ compounded model from that start; the Monte Carlo recovery study uses it
 with the true parameters as the start, the standard design for studying
 the sampling behaviour of a local MLE on a ridged likelihood.  Its
 gradient is L-BFGS-B's own forward difference, computed here in one numpy
-pass over the point and its three shifted copies, so the iterates are
-those scipy's finite differences would give, bit for bit.  A local
-estimate pinned at the ``1e-10`` lower bound is flagged ``boundary=True``.
+pass over the point and its three shifted copies.  One loop runs scipy's
+``setulb`` for a whole ``(reps, n)`` block of samples in lockstep
+(``fit_clfrd_block``; a single fit is a block of one row): each round
+steps every unfinished row to its next function request and answers them
+all in one pass.  Every row's iterates, iteration count and stop are
+those of ``minimize(method="L-BFGS-B")`` with scipy's finite differences
+on that sample alone, bit for bit.  A local estimate pinned at the
+``1e-10`` lower bound is flagged ``boundary=True``.
 
 The public ``clfrd_loglik``/``clfrd_score``/``clfrd_observed_information``
 and ``fit_*`` functions are the only validation point: they check the
@@ -35,9 +40,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
+from scipy.optimize._lbfgsb_py import status_messages as _LBFGSB_STATUS
+from scipy.optimize._lbfgsb_py import task_messages as _LBFGSB_REASON
 from scipy.special import ndtri
 
 from .distributions import (
@@ -53,11 +62,13 @@ from .distributions import (
 __all__ = [
     "FitOptions",
     "FitResult",
+    "LocalFits",
     "NonConvergenceError",
     "clfrd_loglik",
     "clfrd_score",
     "clfrd_observed_information",
     "fit_clfrd",
+    "fit_clfrd_block",
     "fit_model",
     "fit_baselines",
     "wald_ci",
@@ -73,6 +84,14 @@ _FD_FALLBACK = math.sqrt(np.finfo(float).eps)  # scipy's relative step when 1e-8
 # L-BFGS-B's default cap of 15000 evaluations, which counted each of the
 # four points of a finite-difference gradient; one call now covers all four
 _FD_MAXFUN = 15000 // 4
+# the rest of minimize(method="L-BFGS-B")'s defaults, as setulb takes them
+_LBFGSB_M = 10
+_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps  # from its ftol
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXLS = 20
+# setulb's task codes: (status, reason)
+_TASK_FG, _TASK_NEW_X, _TASK_CONVERGENCE, _TASK_STOP = 3, 1, 4, 5
+_TASK_EVALUATION_CAP, _TASK_ITERATION_CAP = 502, 504
 
 
 class NonConvergenceError(RuntimeError):
@@ -386,41 +405,168 @@ def _fit_multistart(name: str, x: np.ndarray, opts: FitOptions) -> FitResult:
                      restarts=len(starts), boundary=boundary, message=message)
 
 
-def _neg_loglik_fd(theta: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """``-loglik`` at theta and its forward-difference gradient, in one pass.
+def _neg_loglik_fd(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``-loglik`` at each theta and its forward-difference gradient, in one pass.
 
-    Evaluates theta and its three forward points as one ``(4, n)`` stack,
-    with exactly the step L-BFGS-B takes itself (scipy's
-    ``approx_derivative`` with absolute step 1e-8): a step that vanishes
-    against a component falls back to ``sqrt(eps) * max(1, |theta|)``, and
-    each difference is divided by the step actually taken,
-    ``(theta + h) - theta``.  Iterates therefore match a run on ``-loglik``
-    with scipy's own finite differences bit for bit.  Points off the open
-    positive orthant score ``+inf``.
+    ``theta`` is ``(..., 3)`` and ``x`` is ``(..., n)``: one sample per
+    parameter row, broadcast against that row's four points (theta and its
+    three forward points) rather than repeated.  The step is exactly the
+    one L-BFGS-B takes itself (scipy's ``approx_derivative`` with absolute
+    step 1e-8): a step that vanishes against a component falls back to
+    ``sqrt(eps) * max(1, |theta|)``, and each difference is divided by the
+    step actually taken, ``(theta + h) - theta``.  The lam-shifted point
+    shares theta's ``exp(-y)`` and ``log(alpha + beta x)``, so three of each
+    are computed per row.  Every row is bit-identical to ``-_loglik_rows`` at
+    its points, so iterates match a run on ``-loglik`` with scipy's own
+    finite differences bit for bit.  Points off the open positive orthant
+    score ``+inf``.
     """
     vanishes = theta + _FD_STEP - theta == 0.0
     h = np.where(vanishes, _FD_FALLBACK * np.maximum(1.0, np.abs(theta)), _FD_STEP)
-    points = np.vstack([theta, theta + np.diag(h)])
-    valid = np.all(np.isfinite(points) & (points > 0.0), axis=1)
-    f = np.full(4, math.inf)
-    f[valid] = -_loglik_rows(points[valid], x)
-    return float(f[0]), (f[1:] - f[0]) / ((theta + h) - theta)
+    up = theta + h
+    a, b, lam = theta[..., :1], theta[..., 1:2], theta[..., 2:]
+    # (alpha, beta) of theta and of its alpha- and beta-shifted points; lam of all four
+    pa = np.concatenate([a, up[..., :1], a], axis=-1)
+    pb = np.concatenate([b, b, up[..., 1:2]], axis=-1)
+    pl = np.concatenate([lam, lam, lam, up[..., 2:]], axis=-1)
+    ok_ab = np.isfinite(pa) & (pa > 0.0) & np.isfinite(pb) & (pb > 0.0)
+    ok_lam = np.isfinite(pl) & (pl > 0.0)
+    valid = np.concatenate([ok_ab, ok_ab[..., :1]], axis=-1) & ok_lam
+    # off-orthant values are evaluated at 1 instead, which warns of nothing;
+    # their points score +inf below
+    pa, pb, pl = np.where(ok_ab, pa, 1.0), np.where(ok_ab, pb, 1.0), np.where(ok_lam, pl, 1.0)
+    xs = x[..., None, :]
+    ac, bc = pa[..., None], pb[..., None]
+    e = np.exp(-(ac * xs + 0.5 * bc * xs * xs))
+    log_lin = np.log(ac + bc * xs).sum(axis=-1)
+    log_mix = np.concatenate([np.log1p(pl[..., :3, None] * e).sum(axis=-1),
+                              np.log1p(pl[..., 3:] * e[..., 0, :]).sum(axis=-1, keepdims=True)],
+                             axis=-1)
+    pair = [0, 1, 2, 0]  # the (alpha, beta) each of the four points uses
+    loglik = (
+        -x.shape[-1] * pl
+        - pa[..., pair] * x.sum(axis=-1, keepdims=True)
+        - 0.5 * pb[..., pair] * (x * x).sum(axis=-1, keepdims=True)
+        + pl * e.sum(axis=-1)[..., pair]
+        + log_lin[..., pair]
+        + log_mix
+    )
+    f = np.where(valid, -loglik, math.inf)
+    return f[..., 0], (f[..., 1:] - f[..., :1]) / (up - theta)
+
+
+class LocalFits(NamedTuple):
+    """Outcome of the lockstep L-BFGS-B fits, one row per sample."""
+
+    theta: np.ndarray  # (reps, 3) final iterates
+    nit: np.ndarray  # (reps,) iterations
+    task: np.ndarray  # (reps, 2) scipy's final (status, reason) task codes
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.task[:, 0] == _TASK_CONVERGENCE
+
+    @property
+    def at_iteration_cap(self) -> np.ndarray:
+        return self.task[:, 1] == _TASK_ITERATION_CAP
+
+    @property
+    def at_bound(self) -> np.ndarray:
+        return np.any(self.theta <= _LOCAL_LOWER, axis=1)
+
+    def message(self, row: int) -> str:
+        """scipy's ``OptimizeResult.message`` for that row."""
+        status, reason = self.task[row]
+        return f"{_LBFGSB_STATUS[status]}: {_LBFGSB_REASON[reason]}"
+
+
+def _lbfgsb_lockstep(samples: np.ndarray, start, max_iterations: int) -> LocalFits:
+    """Bounded L-BFGS-B from ``start`` on every row of a ``(reps, n)`` block.
+
+    Each row keeps its own scipy ``setulb`` state, with the settings of
+    ``minimize(method="L-BFGS-B")`` on ``[1e-10, inf)`` bounds: m=10,
+    default ``factr`` and ``pgtol``, ``maxls=20``, the ``max_iterations``
+    and ``_FD_MAXFUN`` caps.  Each round steps every active row to its next
+    function request and answers all requests with one ``_neg_loglik_fd``
+    pass; a request at the point last evaluated reuses that value, as
+    scipy's ``ScalarFunction`` does.  Each row's iterates, ``nit`` and stop
+    are therefore those of ``minimize`` on that sample alone, whatever
+    else shares the block.
+    """
+    reps, dim = samples.shape[0], 3
+    x = np.tile(np.maximum(np.asarray(start, dtype=float), _LOCAL_LOWER), (reps, 1))
+    # scipy evaluates the start before the first step
+    f, g = _neg_loglik_fd(x, samples)
+    evaluated_at = x.tolist()
+    nit = np.zeros(reps, dtype=int)
+    nfev = np.ones(reps, dtype=int)
+    task = np.zeros((reps, 2), dtype=np.int32)
+    workspace = list(zip(
+        x, g, np.zeros((reps, 2 * _LBFGSB_M * dim + 5 * dim + 11 * _LBFGSB_M**2 + 8 * _LBFGSB_M)),
+        np.zeros((reps, 3 * dim), dtype=np.int32), task, np.zeros((reps, 4), dtype=np.int32),
+        np.zeros((reps, 44), dtype=np.int32), np.zeros((reps, 29)), np.zeros((reps, 2), dtype=np.int32),
+    ))
+    lower, upper = np.full(dim, _LOCAL_LOWER), np.zeros(dim)
+    bound_kind = np.ones(dim, dtype=np.int32)  # lower bound only
+
+    def requests_new_point(i: int) -> bool:
+        # scipy's _minimize_lbfgsb loop for row i, up to its next
+        # evaluation (True) or its stop (False)
+        xi, gi, wa, iwa, ti, lsave, isave, dsave, ln_task = workspace[i]
+        while True:
+            setulb(_LBFGSB_M, xi, lower, upper, bound_kind, f[i], gi, _LBFGSB_FACTR,
+                   _LBFGSB_PGTOL, wa, iwa, ti, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+            if ti[0] == _TASK_FG:
+                if xi.tolist() != evaluated_at[i]:
+                    return True
+            elif ti[0] == _TASK_NEW_X:
+                nit[i] += 1
+                if nit[i] >= max_iterations:
+                    ti[:] = _TASK_STOP, _TASK_ITERATION_CAP
+                elif nfev[i] > _FD_MAXFUN:
+                    ti[:] = _TASK_STOP, _TASK_EVALUATION_CAP
+            else:
+                return False
+
+    active = range(reps)
+    while active:
+        active = [i for i in active if requests_new_point(i)]
+        if active:
+            f[active], g[active] = _neg_loglik_fd(x[active], samples[active])
+            nfev[active] += 1
+            for i, point in zip(active, x[active].tolist()):
+                evaluated_at[i] = point
+    return LocalFits(x, nit, task)
+
+
+def fit_clfrd_block(samples, opts: FitOptions) -> LocalFits:
+    """Local L-BFGS-B fits of the compounded model, one per row of ``samples``.
+
+    ``samples`` is a ``(reps, n)`` block of observations, validated once
+    here, and ``opts.start`` is required.  Row ``r`` of the result is what
+    ``fit_clfrd(samples[r], opts)`` reports, bit for bit: every row runs
+    the same lockstep L-BFGS-B from the start.
+    """
+    block = np.asarray(samples, dtype=float)
+    if block.ndim != 2 or block.shape[1] < 4:
+        raise ValueError(f"need a (replications, n >= 4) block of observations, got shape {block.shape}")
+    _check_data(block)
+    if opts.start is None:
+        raise ValueError("fit_clfrd_block: FitOptions.start is required")
+    return _lbfgsb_lockstep(block, opts.start, opts.max_iterations)
 
 
 def _fit_clfrd_local(x: np.ndarray, opts: FitOptions) -> FitResult:
-    res = minimize(
-        _neg_loglik_fd, np.asarray(opts.start, dtype=float), args=(x,), jac=True,
-        method="L-BFGS-B", bounds=[(_LOCAL_LOWER, None)] * 3,
-        options=dict(maxiter=opts.max_iterations, maxfun=_FD_MAXFUN),
-    )
-    converged = res.status == 0
-    pinned = [name for name, v in zip(Clfrd.param_names, res.x) if v <= _LOCAL_LOWER]
+    fits = _lbfgsb_lockstep(x[None, :], opts.start, opts.max_iterations)
+    theta = fits.theta[0]
+    converged = bool(fits.converged[0])
+    pinned = [name for name, v in zip(Clfrd.param_names, theta) if v <= _LOCAL_LOWER]
     boundary = bool(pinned)
-    message = "" if converged else str(res.message)
+    message = "" if converged else fits.message(0)
     if boundary:
         note = f"{', '.join(pinned)} at the lower bound {_LOCAL_LOWER:g}"
         message = (message + "; " if message else "") + note
-    return _finalize("clfrd", res.x, x, opts, converged=converged, iterations=res.nit,
+    return _finalize("clfrd", theta, x, opts, converged=converged, iterations=int(fits.nit[0]),
                      restarts=1, boundary=boundary, message=message)
 
 

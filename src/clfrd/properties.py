@@ -31,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .distributions import Clfrd
-from .special import _LOG_W_ARG_MAX, lambert_w0, ln_gamma, regularized_gamma_p, regularized_gamma_q
+from .distributions import _LOG_SPACE_QUANTILE, Clfrd
+from .special import lambert_w0, ln_gamma, regularized_gamma_p, regularized_gamma_q
 
 __all__ = [
     "PdfShape",
@@ -187,11 +187,12 @@ def median(model: Clfrd) -> float:
     """Closed-form median via the Lambert W function.
 
     Same expression as ``quantile(0.5)`` with the W argument reduced to
-    ``lam e^lam / 2``; for ``lam`` large enough that this argument
-    overflows, it is ``quantile(0.5)``, which solves for W in log space.
+    ``lam e^lam / 2``; past the quantile's log-space switch
+    (``lam + log(lam) > 60``) it is ``quantile(0.5)``, which solves for W
+    in log space.
     """
     a, b, lam = model.alpha, model.beta, model.lam
-    if lam + math.log(lam) > _LOG_W_ARG_MAX:
+    if lam + math.log(lam) > _LOG_SPACE_QUANTILE:
         return model.quantile(0.5)
     shift = lambert_w0(lam * math.exp(lam) / 2.0) - lam + math.log(2.0)
     shift = max(shift, 0.0)

@@ -9,16 +9,20 @@ distribution).  By construction ``mse = bias^2 + sd^2`` and
 Each replication runs the local fit of ``estimation``, a bounded
 quasi-Newton search that ``FitOptions.start`` selects, started at the
 true parameters: the study measures the sampling behaviour of the local
-MLE, so the start removes multistart selection effects.  The sample is
-validated once, by ``fit_clfrd``; the optimizer then evaluates raw
-log-likelihood kernels, taking L-BFGS-B's own forward-difference
-gradient in one numpy pass per point.
+MLE, so the start removes multistart selection effects.  Each replication
+is drawn from its own stream; the cell's ``(reps, n)`` block is then
+validated once and fitted by ``fit_clfrd_block``, which steps one
+L-BFGS-B state per replication in lockstep and evaluates all pending
+points in one numpy pass.  Every estimate is the one ``fit_clfrd`` gives
+for that sample alone, bit for bit.
 
 The likelihood's compounding ridge means a few samples have no interior
-optimum; replications whose fit hits the iteration cap are counted as
-failures and excluded, and a cell with more than 20% failures is flagged
-degenerate.  Fits that converge with an estimate pinned at the lower
-bound are kept.
+optimum; replications whose fit does not converge (almost always at the
+iteration cap) are counted as failures and excluded, and a cell with more
+than 20% failures is flagged degenerate.  Fits that converge with an
+estimate pinned at the lower bound are kept.  Each summary counts its
+failures by stop (``failure_reasons``) and its kept estimates at the
+bound (``at_bound``); the JSON output lists both per cell.
 
 Replications are keyed by ``(cell seed, replication index)`` streams, so
 results are bit-identical for a given ``base_seed`` no matter how the
@@ -36,7 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import Clfrd
-from .estimation import FitOptions, fit_clfrd
+from .estimation import FitOptions, LocalFits, fit_clfrd_block
+from .estimation import fit_clfrd  # noqa: F401  perfbench's tracer wraps it in this namespace
 from .sampling import SeededStream, sample_inverse
 from scipy.special import ndtri
 
@@ -114,6 +119,10 @@ class SimulationSummary:
     failures: int
     degenerate: bool
     per_param: dict[str, ParamSummary] = field(default_factory=dict)
+    # failed replications by how L-BFGS-B stopped: "iteration_cap" or "other"
+    failure_reasons: dict[str, int] = field(default_factory=dict)
+    # kept estimates with a parameter at the local fit's 1e-10 lower bound
+    at_bound: int = 0
 
 
 def _cell_seed(base_seed: int, set_label: int, n: int) -> int:
@@ -123,31 +132,32 @@ def _cell_seed(base_seed: int, set_label: int, n: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _fit_replications(params: Clfrd, n: int, seed: int, replications) -> LocalFits:
+    # one sample_inverse call per replication stream: the quantile's last
+    # bits depend on the batch it is computed in (lambert_w0 iterates until
+    # every element has converged), so one call for the block would move
+    # the estimates; then one lockstep fit of the block from the truth
+    samples = np.vstack([sample_inverse(params, n, SeededStream(seed, r)) for r in replications])
+    opts = FitOptions(start=tuple(params.to_vector()), max_iterations=_FIT_ITERATION_CAP)
+    return fit_clfrd_block(samples, opts)
+
+
 def run_cell(params: Clfrd, n: int, reps: int, seed: int,
              set_id: int = 0, ci_level: float = 0.95) -> SimulationSummary:
     """Run one (parameter set, sample size) cell of the recovery study."""
     if reps < 2:
         raise ValueError("run_cell: need at least 2 replications")
     truth = params.to_vector()
-    opts = FitOptions(
-        start=tuple(truth),
-        max_iterations=_FIT_ITERATION_CAP,
-        compute_covariance=False,
-    )
-    estimates = []
-    failures = 0
-    for r in range(reps):
-        sample = sample_inverse(params, n, SeededStream(seed, r))
-        fit = fit_clfrd(sample, opts)
-        if fit.converged:
-            estimates.append(fit.model.to_vector())
-        else:
-            failures += 1
-    est = np.asarray(estimates, dtype=float)
-    degenerate = failures > _DEGENERATE_FRACTION * reps
+    fits = _fit_replications(params, n, seed, range(reps))
+    converged = fits.converged
+    est = fits.theta[converged]
+    failures = int(reps - converged.sum())
+    at_cap = int(np.sum(fits.at_iteration_cap))
     summary = SimulationSummary(
         set_id=set_id, params=params, n=n, replications=reps,
-        failures=failures, degenerate=degenerate,
+        failures=failures, degenerate=failures > _DEGENERATE_FRACTION * reps,
+        failure_reasons={"iteration_cap": at_cap, "other": failures - at_cap},
+        at_bound=int(np.sum(fits.at_bound[converged])),
     )
     if est.shape[0] >= 2:
         z = float(ndtri(0.5 + ci_level / 2.0))
@@ -231,6 +241,11 @@ def study_to_json(summaries: Sequence[SimulationSummary], meta: dict | None = No
     if meta:
         payload["meta"] = meta
     payload["rows"] = study_rows(summaries)
+    payload["cells"] = [
+        {"set_id": s.set_id, "n": s.n, "failures": s.failures,
+         "failure_reasons": s.failure_reasons, "at_bound": s.at_bound}
+        for s in summaries
+    ]
     payload["degenerate_cells"] = [
         {"set_id": s.set_id, "n": s.n, "failures": s.failures}
         for s in summaries if s.degenerate

@@ -35,10 +35,11 @@ _W_ARG_MAX = math.exp(_LOG_W_ARG_MAX)
 
 
 def _w0_of_log(log_z):
-    """W0(e^log_z) for log_z >= 600 by Newton steps on w + log w = log_z.
+    """W0(e^log_z) by Newton steps on w + log w = log_z; needs log_z > 1.
 
-    The equation is concave in w, so from ``log_z - log(log_z)`` the steps
-    rise monotonically to the root.
+    The equation is concave in w, and for ``log_z > 1`` the start
+    ``log_z - log(log_z)`` lies below the root, so the steps rise
+    monotonically to it.
     """
     w = log_z - np.log(log_z)
     for _ in range(64):

@@ -161,6 +161,25 @@ class TestClfrdQuantile:
         assert np.all(np.diff(x) >= 0.0)
         np.testing.assert_allclose(m.cdf(x), q, rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("lam", [60.0, 100.0, 300.0, 500.0, 650.0])
+    def test_round_trip_past_the_log_space_switch(self, lam):
+        # lambert_w0's route loses about three digits here, to cancellation
+        # in w - lam - log(1 - q)
+        m = Clfrd(1.0, 1.0, lam)
+        rng = np.random.default_rng(int(lam))
+        q = np.concatenate([[0.0, 1e-300, 0.5, 1.0 - 2.0**-53], rng.random(1000)])
+        np.testing.assert_array_less(np.abs(m.cdf(m.quantile(q)) - q), 1e-12)
+        for v in q[:4]:
+            assert abs(m.cdf(m.quantile(v)) - v) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="lambert_w0 runs Halley steps until every element "
+                       "has converged, and a further step moves some converged values by an ulp")
+    def test_quantile_does_not_depend_on_its_batch(self):
+        m = Clfrd(1.0, 1.0, 0.5)
+        q = np.linspace(0.0, 0.999999, 20001)
+        batched = m.quantile(q)[::50]
+        np.testing.assert_array_equal(batched, [m.quantile(v) for v in q[::50]])
+
 
 @pytest.mark.parametrize("params", PARAMETER_SETS)
 def test_pdf_normalization(params):

@@ -20,8 +20,8 @@ from clfrd import (
     sample_inverse,
     wald_ci,
 )
-from clfrd.estimation import _FAMILIES, _loglik_rows, _neg_loglik_fd
-from clfrd.simulation import DEFAULT_PARAMETER_SETS, DEFAULT_SEED, _cell_seed
+from clfrd.estimation import _FAMILIES, _loglik_rows, _neg_loglik_fd, fit_clfrd_block
+from clfrd.simulation import DEFAULT_PARAMETER_SETS, DEFAULT_SEED, _cell_seed, _fit_replications
 
 # published estimates for the three benchmark datasets
 PUBLISHED_CLFRD = {
@@ -295,6 +295,75 @@ class TestLocalFitFlags:
     def test_interior_fit_is_clean(self):
         fit = self._fit(0)
         assert fit.converged and not fit.boundary and fit.message == ""
+
+
+def cell_sample(set_id, n, r):
+    # replication r of the recovery study's cell (set_id, n)
+    truth = DEFAULT_PARAMETER_SETS[set_id - 1]
+    return sample_inverse(truth, n, SeededStream(_cell_seed(DEFAULT_SEED, set_id, n), r))
+
+
+def assert_same_fits(fits, rows, other, other_rows):
+    for i, j in zip(rows, other_rows):
+        np.testing.assert_array_equal(fits.theta[i], other.theta[j], err_msg=str(i))
+        assert fits.nit[i] == other.nit[j], i
+        assert tuple(fits.task[i]) == tuple(other.task[j]), i
+
+
+class TestLockstepFits:
+    # the study's blocks: replications drawn by run_cell's streams, fitted
+    # from the truth with its iteration cap of 100
+    CASES = [(1, 100, range(25, 45)), (4, 200, [443]), (8, 100, range(20))]
+
+    @pytest.mark.parametrize("set_id, n, replications", CASES)
+    def test_block_matches_scipy_per_replication(self, set_id, n, replications):
+        # set 1 r=31 hits the iteration cap and r=41 pins beta at its
+        # bound; set 4 r=443 needs the fallback finite-difference step
+        truth = DEFAULT_PARAMETER_SETS[set_id - 1]
+        seed = _cell_seed(DEFAULT_SEED, set_id, n)
+        fits = _fit_replications(truth, n, seed, replications)
+        for row, r in enumerate(replications):
+            ref = reference_local_fit(cell_sample(set_id, n, r), truth.to_vector(), 100)
+            np.testing.assert_array_equal(fits.theta[row], ref.x, err_msg=str(r))
+            assert fits.nit[row] == ref.nit, r
+            assert fits.converged[row] == (ref.status == 0), r
+            assert fits.message(row) == ref.message, r
+
+    def test_result_does_not_depend_on_the_block(self):
+        truth = DEFAULT_PARAMETER_SETS[0]
+        seed = _cell_seed(DEFAULT_SEED, 1, 100)
+        block = _fit_replications(truth, 100, seed, range(500))
+        reversed_block = _fit_replications(truth, 100, seed, range(499, -1, -1))
+        small = _fit_replications(truth, 100, seed, range(25, 50))
+        assert_same_fits(block, range(500), reversed_block, range(499, -1, -1))
+        assert_same_fits(block, range(25, 50), small, range(25))
+        assert not block.converged[31] and block.at_bound[41]
+        for r in (0, 31, 41):
+            alone = _fit_replications(truth, 100, seed, [r])
+            assert_same_fits(block, [r], alone, [0])
+
+    def test_off_orthant_points_score_inf_without_touching_other_rows(self):
+        x = np.vstack([cell_sample(1, 100, r) for r in range(6)])
+        theta = np.array([[2.0, 2.0, 2.0], [-1.0, 2.0, 2.0], [2.0, 0.0, 2.0],
+                          [2.0, 2.0, -1e-9], [math.inf, 2.0, 2.0], [0.5, 1e9, 3.0]])
+        with np.errstate(invalid="ignore"):  # inf - inf in their gradients
+            f, grad = _neg_loglik_fd(theta, x)
+        assert np.all(f[1:5] == math.inf)
+        # the lam-shifted point of (2, 2, -1e-9) is inside the orthant
+        assert grad[3, 2] == -math.inf
+        for r in (0, 5):
+            value, g = _neg_loglik_fd(theta[r], x[r])
+            assert f[r] == value == -clfrd_loglik(Clfrd(*theta[r]), x[r])
+            np.testing.assert_array_equal(grad[r], g)
+
+    def test_block_validation(self):
+        opts = FitOptions(start=(2.0, 2.0, 2.0))
+        x = np.vstack([cell_sample(1, 100, r) for r in range(3)])
+        for bad in (x[0], x[:, :3], np.where(x == x[1, 7], -1.0, x), np.where(x == x[2, 0], math.nan, x)):
+            with pytest.raises(ValueError):
+                fit_clfrd_block(bad, opts)
+        with pytest.raises(ValueError, match="start"):
+            fit_clfrd_block(x, FitOptions())
 
 
 class TestFitOptions:

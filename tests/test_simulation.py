@@ -1,7 +1,12 @@
+import json
+
+import numpy as np
 import pytest
 
-from clfrd import Clfrd, StudyConfig, run_cell, run_study
-from clfrd.simulation import study_rows, study_to_csv, study_to_json
+from clfrd import (
+    Clfrd, FitOptions, SeededStream, StudyConfig, fit_clfrd, run_cell, run_study, sample_inverse,
+)
+from clfrd.simulation import DEFAULT_SEED, _cell_seed, study_rows, study_to_csv, study_to_json
 
 
 SMALL = Clfrd(0.5, 0.5, 0.5)
@@ -34,6 +39,27 @@ class TestRunCell:
     def test_rep_validation(self):
         with pytest.raises(ValueError):
             run_cell(SMALL, 50, 1, seed=1)
+
+    def test_outcome_counts_match_per_replication_fits(self):
+        # set 1 at n=100: replication 31 hits the iteration cap, several
+        # converge with beta pinned at the 1e-10 bound
+        truth, seed = Clfrd(2.0, 2.0, 2.0), _cell_seed(DEFAULT_SEED, 1, 100)
+        opts = FitOptions(start=(2.0, 2.0, 2.0), max_iterations=100, compute_covariance=False)
+        fits = [fit_clfrd(sample_inverse(truth, 100, SeededStream(seed, r)), opts) for r in range(45)]
+        kept = [f for f in fits if f.converged]
+        cell = run_cell(truth, 100, 45, seed)
+        assert cell.failures == 45 - len(kept) >= 1
+        assert cell.failure_reasons == {
+            "iteration_cap": sum("ITERATIONS REACHED LIMIT" in f.message for f in fits if not f.converged),
+            "other": sum("ITERATIONS REACHED LIMIT" not in f.message for f in fits if not f.converged),
+        }
+        assert cell.at_bound == sum(f.boundary for f in kept) >= 1
+        mean = np.array([f.model.to_vector() for f in kept]).mean(axis=0)
+        assert [cell.per_param[p].mean_mle for p in ("alpha", "beta", "lambda")] == list(mean)
+
+    def test_block_shorter_than_four_is_rejected(self):
+        with pytest.raises(ValueError, match="n >= 4"):
+            run_cell(SMALL, 3, 5, seed=1)
 
 
 class TestRunStudy:
@@ -72,12 +98,22 @@ class TestRunStudy:
         assert text.splitlines()[0] == "set_id,alpha,beta,lambda,n,param,mle,bias,sd,mse,low,up,ciw,failures"
 
     def test_json_round_trip(self):
-        import json
-
         cfg = StudyConfig(parameter_sets=(SMALL,), sample_sizes=(30,), replications=5, base_seed=3)
         payload = json.loads(study_to_json(run_study(cfg), meta={"seed": 3}))
         assert payload["meta"] == {"seed": 3}
         assert len(payload["rows"]) == 3
+
+    def test_json_reports_outcomes_per_cell(self):
+        cfg = StudyConfig(parameter_sets=(SMALL, Clfrd(2.0, 2.0, 2.0)), sample_sizes=(30, 40),
+                          replications=6, base_seed=3)
+        summaries = run_study(cfg)
+        cells = json.loads(study_to_json(summaries))["cells"]
+        assert [(c["set_id"], c["n"]) for c in cells] == [(s.set_id, s.n) for s in summaries]
+        for c, s in zip(cells, summaries):
+            assert c["failures"] == s.failures == sum(c["failure_reasons"].values())
+            assert c["failure_reasons"] == s.failure_reasons
+            assert set(c["failure_reasons"]) == {"iteration_cap", "other"}
+            assert c["at_bound"] == s.at_bound
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
