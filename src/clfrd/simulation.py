@@ -10,11 +10,14 @@ Each replication runs the local fit of ``estimation``, a bounded
 quasi-Newton search that ``FitOptions.start`` selects, started at the
 true parameters: the study measures the sampling behaviour of the local
 MLE, so the start removes multistart selection effects.  Each replication
-is drawn from its own stream; the cell's ``(reps, n)`` block is then
-validated once and fitted by ``fit_clfrd_block``, which steps one
-L-BFGS-B state per replication in lockstep and evaluates all pending
-points in one numpy pass.  Every estimate is the one ``fit_clfrd`` gives
-for that sample alone, bit for bit.
+draws its uniforms from its own stream, and one quantile call per cell
+maps the ``(reps, n)`` block to samples; since the quantile does not
+depend on its batch, each row is what ``sample_inverse`` draws from that
+stream.  The block is then validated once and fitted by
+``fit_clfrd_block``, which steps one L-BFGS-B state per replication in
+lockstep and evaluates all pending points in one numpy pass.  Every
+estimate is the one ``fit_clfrd`` gives for that sample alone, bit for
+bit.
 
 The likelihood's compounding ridge means a few samples have no interior
 optimum; replications whose fit does not converge (almost always at the
@@ -42,7 +45,8 @@ import numpy as np
 from .distributions import Clfrd
 from .estimation import FitOptions, LocalFits, fit_clfrd_block
 from .estimation import fit_clfrd  # noqa: F401  perfbench's tracer wraps it in this namespace
-from .sampling import SeededStream, sample_inverse
+from .sampling import SeededStream
+from .sampling import sample_inverse  # noqa: F401  perfbench's tracer wraps it in this namespace
 from scipy.special import ndtri
 
 __all__ = [
@@ -133,11 +137,10 @@ def _cell_seed(base_seed: int, set_label: int, n: int) -> int:
 
 
 def _fit_replications(params: Clfrd, n: int, seed: int, replications) -> LocalFits:
-    # one sample_inverse call per replication stream: the quantile's last
-    # bits depend on the batch it is computed in (lambert_w0 iterates until
-    # every element has converged), so one call for the block would move
-    # the estimates; then one lockstep fit of the block from the truth
-    samples = np.vstack([sample_inverse(params, n, SeededStream(seed, r)) for r in replications])
+    # each row's uniforms from its own stream, one quantile call for the
+    # (reps, n) block, then one lockstep fit of the block from the truth
+    u = np.vstack([SeededStream(seed, r).generator().random(n) for r in replications])
+    samples = params.quantile(u)
     opts = FitOptions(start=tuple(params.to_vector()), max_iterations=_FIT_ITERATION_CAP)
     return fit_clfrd_block(samples, opts)
 

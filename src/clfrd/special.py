@@ -1,6 +1,6 @@
-"""Special functions: the principal-branch Lambert W, log-gamma, the lower
-incomplete gamma function (with regularized variants) and the survival
-function of the Kolmogorov limit law.
+"""Special functions: the principal-branch Lambert W, log-gamma, the
+regularized incomplete gamma functions and the survival function of the
+Kolmogorov limit law.
 
 All but Lambert W are argument-checking wrappers over ``scipy.special``
 that accept scalars or arrays.  Everything here is pure and safe for
@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma, gammainc, gammaincc, gammaln, kolmogorov
+from scipy.special import gammainc, gammaincc, gammaln, kolmogorov
 
 __all__ = [
     "lambert_w0",
     "ln_gamma",
-    "lower_incomplete_gamma",
     "regularized_gamma_p",
     "regularized_gamma_q",
     "kolmogorov_sf",
@@ -57,10 +56,13 @@ def lambert_w0(z):
     scalar or array and returns a matching shape.  Residual ``|w e^w - z|``
     stays below ``1e-12 * max(1, |z|)``.
 
-    Halley iteration seeded by a branch-point expansion near ``-1/e``, a
-    rational guess for small arguments, and ``log z - log log z`` for large
-    ones; past ``z = e^700``, where ``w e^w`` overflows, Newton steps on
-    ``w + log w = log z`` instead.  Kept in place of
+    Halley iteration (Corless et al., "On the Lambert W function", Adv.
+    Comput. Math. 5, 1996) seeded by a branch-point expansion near
+    ``-1/e``, a rational guess for small arguments, and ``log z - log log
+    z`` for large ones; past ``z = e^700``, where ``w e^w`` overflows,
+    Newton steps on ``w + log w = log z`` instead.  Each element stops on
+    its own tolerance, so its value is the same whether it is computed
+    alone or in any array.  Kept in place of
     ``scipy.special.lambertw(z).real``, which took 25-29 ms on 1e5 points
     against 10-17 ms here, and the quantile and the inverse sampler call
     it on every point.
@@ -98,14 +100,17 @@ def lambert_w0(z):
     lz = np.log(w[big])
     out[big] = lz - np.log(np.maximum(lz, _EPS))
 
+    done = np.zeros(out.shape, dtype=bool)
     for _ in range(64):
         ew = np.exp(out)
         f = out * ew - w
         wp1 = out + 1.0
         wp1 = np.where(wp1 == 0.0, _EPS, wp1)
         dw = f / (ew * wp1 - (out + 2.0) * f / (2.0 * wp1))
+        dw[done] = 0.0  # an element stops after its first step within tolerance
         out -= dw
-        if np.all(np.abs(dw) <= 1e-15 * (1.0 + np.abs(out))):
+        done |= np.abs(dw) <= 1e-15 * (1.0 + np.abs(out))
+        if np.all(done):
             break
     out[huge] = _w0_of_log(np.log(np.atleast_1d(arr)[huge]))
     return float(out[0]) if scalar else out
@@ -139,15 +144,6 @@ def regularized_gamma_q(s, x):
     """Regularized upper incomplete gamma Q(s, x) = 1 - P(s, x); broadcasts."""
     _check_gamma_args("regularized_gamma_q", s, x)
     return _scalar_or_array(gammaincc(s, x))
-
-
-def lower_incomplete_gamma(s, x):
-    """Lower incomplete gamma gamma(s, x) = integral of t^(s-1) e^-t over [0, x].
-
-    Infinite for ``s`` large enough that ``Gamma(s)`` itself overflows
-    (s > ~171).
-    """
-    return _scalar_or_array(regularized_gamma_p(s, x) * gamma(s))
 
 
 def kolmogorov_sf(t: float) -> float:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from clfrd.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
+from clfrd.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +94,16 @@ class TestPinnedFitOutput:
                                "--format", "json", "--no-meta")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[command, dataset]
+
+    # the recovery study on sets 1 and 8: any change in a study estimate,
+    # failure count or bound count changes these bytes
+    STUDY_PINNED = "1abddd3528e4d0ad4e3c8fe65a3d77509f55a602a63c075386c57d8467dfed71"
+
+    def test_study_json_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--sets", "1,8", "--sizes", "100",
+                               "--reps", "25", "--format", "json", "--no-meta")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STUDY_PINNED
 
 
 class TestSimulate:
@@ -209,6 +219,21 @@ class TestPlumbing:
         monkeypatch.delenv("CLFRD_SEED")
         _, out_explicit, _ = run_cli(capsys, *args, "--seed", "1234")
         assert out_env == out_explicit
+
+    def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CLFRD_SEED", "abc")
+        code, out, err = run_cli(capsys, "sample", "--alpha", "1", "--beta", "1",
+                                 "--lambda", "1", "-n", "2")
+        assert code == EXIT_USAGE and out == ""
+        assert "argument --seed: invalid int value" in err
+
+    def test_explicit_seed_wins_over_bad_env_seed(self, capsys, monkeypatch):
+        args = ("sample", "--alpha", "1", "--beta", "1", "--lambda", "1", "-n", "5", "--seed", "1234")
+        monkeypatch.setenv("CLFRD_SEED", "abc")
+        code, out_bad_env, _ = run_cli(capsys, *args)
+        monkeypatch.delenv("CLFRD_SEED")
+        _, out_no_env, _ = run_cli(capsys, *args)
+        assert code == EXIT_OK and out_bad_env == out_no_env
 
     def test_raw_flag(self, capsys):
         code, out, _ = run_cli(

@@ -9,7 +9,6 @@ from clfrd.special import (
     kolmogorov_sf,
     lambert_w0,
     ln_gamma,
-    lower_incomplete_gamma,
     regularized_gamma_p,
     regularized_gamma_q,
 )
@@ -70,6 +69,20 @@ class TestLambertW:
         assert out.shape == (3,)
         assert isinstance(lambert_w0(1.0), float)
 
+    def test_array_does_not_change_any_element(self):
+        # the branch point, (-1/e, e), [e, e^700] and the log-space range
+        # past e^700, mixed in one array
+        z = np.concatenate([
+            [-math.exp(-1.0), -math.exp(-1.0) + 1e-12],
+            np.linspace(-math.exp(-1.0), math.e, 2001),
+            np.exp(np.linspace(1.0, 700.0, 2001)),
+            [1e305, 1e308, np.finfo(float).max],
+        ])
+        z = np.random.default_rng(5).permutation(z)
+        alone = [lambert_w0(v) for v in z]
+        np.testing.assert_array_equal(lambert_w0(z), alone)
+        np.testing.assert_array_equal(lambert_w0(z[:4000].reshape(40, 100)).ravel(), alone[:4000])
+
 
 class TestLnGamma:
     @pytest.mark.parametrize(
@@ -87,26 +100,26 @@ class TestLnGamma:
 
 
 class TestLowerIncompleteGamma:
+    # the regularized lower incomplete gamma P(s, x) = gamma(s, x) / Gamma(s)
     def test_exponential_special_case(self):
         for x in (0.1, 0.5, 1.0, 3.0, 10.0):
-            assert lower_incomplete_gamma(1.0, x) == pytest.approx(-math.expm1(-x), rel=1e-13)
+            assert regularized_gamma_p(1.0, x) == pytest.approx(-math.expm1(-x), rel=1e-13)
 
     def test_zero(self):
-        assert lower_incomplete_gamma(3.7, 0.0) == 0.0
+        assert regularized_gamma_p(3.7, 0.0) == 0.0
 
     def test_against_quadrature(self):
         expected = quad(lambda t: math.sqrt(t) * math.exp(-t), 0.0, 2.0, epsabs=1e-14)[0]
-        assert lower_incomplete_gamma(1.5, 2.0) == pytest.approx(expected, abs=1e-10)
+        assert regularized_gamma_p(1.5, 2.0) * math.gamma(1.5) == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.5, 7.0, 20.0])
     def test_limit_is_gamma(self, s):
-        assert lower_incomplete_gamma(s, 50.0 * s) == pytest.approx(
-            math.exp(ln_gamma(s)), rel=1e-9
-        )
+        # gamma(s, x) -> Gamma(s) as x grows, so P(s, x) -> 1
+        assert regularized_gamma_p(s, 50.0 * s) == pytest.approx(1.0, rel=1e-9)
 
     def test_monotone_in_x(self):
         xs = np.linspace(0.0, 30.0, 400)
-        vals = [lower_incomplete_gamma(2.3, float(x)) for x in xs]
+        vals = [regularized_gamma_p(2.3, float(x)) for x in xs]
         assert np.all(np.diff(vals) >= 0.0)
 
     def test_regularized_complement(self):
@@ -114,10 +127,11 @@ class TestLowerIncompleteGamma:
             assert regularized_gamma_p(s, x) + regularized_gamma_q(s, x) == pytest.approx(1.0, abs=1e-13)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            lower_incomplete_gamma(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            lower_incomplete_gamma(1.0, -2.0)
+        for fn in (regularized_gamma_p, regularized_gamma_q):
+            with pytest.raises(ValueError):
+                fn(-1.0, 2.0)
+            with pytest.raises(ValueError):
+                fn(1.0, -2.0)
 
 
 class TestKolmogorovSf:
