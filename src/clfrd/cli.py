@@ -7,12 +7,13 @@ as CSV data), and ``props`` (reliability-measure report for a parameter
 triple).
 
 Datasets are referenced as ``builtin:<name>`` or as a CSV/JSON file path.
-Output renders as text, CSV or JSON (``--format``), to stdout or a file
-(``--out``).  JSON carries a metadata block (tool version, seed,
-timestamp) unless ``--no-meta`` is given, which makes repeated runs
-byte-identical.  The default seed comes from the ``CLFRD_SEED``
-environment variable when set; explicit ``--seed`` wins, and without it
-a ``CLFRD_SEED`` that is not an integer is a usage error.
+Output renders as text, CSV or JSON (``--format`` takes only the formats
+a subcommand renders), to stdout or a file (``--out``).  JSON carries a
+metadata block (tool version, seed, timestamp) unless ``--no-meta`` is
+given, which makes repeated runs byte-identical.  The default seed comes
+from the ``CLFRD_SEED`` environment variable when set; explicit ``--seed``
+wins, and without it a ``CLFRD_SEED`` that is not an integer is a usage
+error.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 non-convergence, 5 domain/data.
 """
@@ -91,7 +92,7 @@ def _load_data(ref: str, raw: bool = False):
 def _render_fit(fit, fmt: str, no_meta: bool) -> str:
     payload = {
         "model": fit.model.name,
-        "params": {k: float(v) for k, v in fit.params.items()},
+        "params": fit.params,
         "loglik": fit.loglik,
         "neg2_loglik": fit.neg2_loglik,
         "std_errors": fit.std_errors,
@@ -273,8 +274,9 @@ def _cmd_props(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="text")
+def _add_common(parser: argparse.ArgumentParser, formats=("text", "json")) -> None:
+    # the formats the subcommand renders, its default first
+    parser.add_argument("--format", choices=formats, default=formats[0])
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
     parser.add_argument("--no-meta", action="store_true", help="omit metadata (stable output bytes)")
 
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--data", required=True)
     p_cmp.add_argument("--models", default=None, help="comma-separated subset of models")
     p_cmp.add_argument("--raw", action="store_true")
-    _add_common(p_cmp)
+    _add_common(p_cmp, ("text", "csv", "json"))
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo parameter-recovery study")
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sets", default=None, help="comma-separated set ids, e.g. 1,4,8")
     p_sim.add_argument("--sizes", default=None, help="comma-separated sample sizes")
     p_sim.add_argument("--level", type=float, default=0.95)
-    _add_common(p_sim)
+    _add_common(p_sim, ("csv", "json"))
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_smp = sub.add_parser("sample", help="draw random variates")
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_crv.add_argument("--grid-max", type=float, default=None)
     p_crv.add_argument("--grid-points", type=int, default=200)
     p_crv.add_argument("--raw", action="store_true")
-    _add_common(p_crv)
+    _add_common(p_crv, ("csv",))
     p_crv.set_defaults(func=_cmd_curve)
 
     p_prp = sub.add_parser("props", help="reliability measures for a parameter triple")

@@ -11,6 +11,10 @@ Evaluation methods accept scalars or numpy arrays and return a matching
 shape.  Arguments are validated, never clamped: negative ``x`` raises.
 Parameter objects are frozen dataclasses, so instances are immutable and
 safe to share across threads.
+
+The ``Clfrd`` quantile is closed form through the principal Lambert W
+branch, solved here by ``lambert_w0`` on the quantile's own domain only;
+general use belongs to ``scipy.special.lambertw``.
 """
 
 from __future__ import annotations
@@ -21,13 +25,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .special import _w0_of_log, lambert_w0
-
 # The quantile solves for W in log space once lam + log(lam), the log of
 # its W argument at q = 0, passes this.  The direct form loses digits to
 # cancellation in w - lam - log(1 - q) as lam grows; the log form needs
 # log(lam) + log1p(-q) + lam well above 0 even at q = 1 - 2^-53, which
-# fails below lam ~ 46.
+# fails below lam ~ 46.  Below it, lambert_w0's argument is at most e^60.
 _LOG_SPACE_QUANTILE = 60.0
 
 __all__ = [
@@ -39,6 +41,60 @@ __all__ = [
     "GeneralizedExponential",
     "MODEL_REGISTRY",
 ]
+
+
+def _w0_of_log(log_z):
+    """W0(e^log_z) by Newton steps on w + log w = log_z; needs log_z > 1.
+
+    The equation is concave in w, and for ``log_z > 1`` the start
+    ``log_z - log(log_z)`` lies below the root, so the steps rise
+    monotonically to it.  Each element stops on its own tolerance, as in
+    ``lambert_w0``.
+    """
+    w = log_z - np.log(log_z)
+    done = np.zeros(np.shape(w), dtype=bool)
+    for _ in range(64):
+        dw = np.where(done, 0.0, (w + np.log(w) - log_z) * w / (w + 1.0))
+        w = w - dw
+        done |= np.abs(dw) <= 1e-15 * w
+        if np.all(done):
+            break
+    return w
+
+
+def lambert_w0(z):
+    """Principal branch W0 of the Lambert W function for ``0 <= z <= e^60``.
+
+    That is the domain of the ``Clfrd`` quantile's argument
+    ``lam (1 - q) e^lam``, which takes this path only while
+    ``lam + log(lam) <= 60``; arguments are not checked.  For general use
+    call ``scipy.special.lambertw``.  Accepts a scalar or array and returns
+    a matching shape.
+
+    Halley iteration (Corless et al., "On the Lambert W function", Adv.
+    Comput. Math. 5, 1996) seeded by ``z / (1 + z)`` below ``e`` and by
+    ``log z - log log z`` from ``e`` up.  Each element stops on its own
+    tolerance, so its value is the same whether it is computed alone or in
+    any array.  Kept in place of ``scipy.special.lambertw(z).real``, which
+    took 25-29 ms on 1e5 points against 10-17 ms here.
+    """
+    z = np.asarray(z, dtype=float)
+    scalar = z.ndim == 0
+    z = np.atleast_1d(z)
+    lz = np.log(np.maximum(z, math.e))
+    w = np.where(z < math.e, z / (1.0 + z), lz - np.log(lz))
+    done = np.zeros(w.shape, dtype=bool)
+    for _ in range(64):
+        ew = np.exp(w)
+        f = w * ew - z
+        wp1 = w + 1.0
+        dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        dw[done] = 0.0  # an element stops after its first step within tolerance
+        w -= dw
+        done |= np.abs(dw) <= 1e-15 * (1.0 + np.abs(w))
+        if np.all(done):
+            break
+    return float(w[0]) if scalar else w
 
 
 def _as_domain_array(x, minimum=0.0, name="x"):
@@ -102,7 +158,7 @@ class LifetimeModel(abc.ABC):
 
     def params(self) -> dict[str, float]:
         """Parameter values keyed by their conventional names."""
-        return dict(zip(self.param_names, self.to_vector()))
+        return dict(zip(self.param_names, self.to_vector().tolist()))
 
     def to_vector(self) -> np.ndarray:
         return np.array([getattr(self, f.name) for f in fields(self)], dtype=float)

@@ -149,23 +149,17 @@ def _check_data(data, minimum_size=1) -> np.ndarray:
 # check their arguments once and call these
 
 
-def _loglik_rows(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Log-likelihood at each row ``(alpha, beta, lam)`` of a ``(k, 3)`` stack.
-
-    One numpy pass over a ``(k, n)`` array; every row is bit-identical to
-    evaluating that row on its own.
-    """
-    a, b, lam = theta.T
-    ac, bc, lc = a[:, None], b[:, None], lam[:, None]
-    y = ac * x + 0.5 * bc * x * x
+def _loglik(theta: np.ndarray, x: np.ndarray) -> float:
+    a, b, lam = theta
+    y = a * x + 0.5 * b * x * x
     e = np.exp(-y)
-    return (
+    return float(
         -x.size * lam
         - a * x.sum()
         - 0.5 * b * (x * x).sum()
-        + lam * e.sum(axis=1)
-        + np.log(ac + bc * x).sum(axis=1)
-        + np.log1p(lc * e).sum(axis=1)
+        + lam * e.sum()
+        + np.log(a + b * x).sum()
+        + np.log1p(lam * e).sum()
     )
 
 
@@ -201,10 +195,6 @@ def _information(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     h_ll = -(e * e / (d * d)).sum()
     hess = np.array([[h_aa, h_ab, h_al], [h_ab, h_bb, h_bl], [h_al, h_bl, h_ll]])
     return -hess
-
-
-def _loglik(theta: np.ndarray, x: np.ndarray) -> float:
-    return float(_loglik_rows(theta[None, :], x)[0])
 
 
 def clfrd_loglik(model: Clfrd, data) -> float:
@@ -416,7 +406,7 @@ def _neg_loglik_fd(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nda
     ``sqrt(eps) * max(1, |theta|)``, and each difference is divided by the
     step actually taken, ``(theta + h) - theta``.  The lam-shifted point
     shares theta's ``exp(-y)`` and ``log(alpha + beta x)``, so three of each
-    are computed per row.  Every row is bit-identical to ``-_loglik_rows`` at
+    are computed per row.  Every row is bit-identical to ``-_loglik`` at
     its points, so iterates match a run on ``-loglik`` with scipy's own
     finite differences bit for bit.  Points off the open positive orthant
     score ``+inf``.

@@ -19,10 +19,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import kolmogorov
 from scipy.stats import kstwo
 
 from . import estimation
-from .special import kolmogorov_sf
 
 __all__ = ["GofReport", "GofWarning", "ks_test", "ad_stat", "cm_stat", "aic", "compare_models"]
 
@@ -65,7 +65,7 @@ def ks_test(data, cdf, exact: bool | None = None) -> tuple[float, float]:
     ``D = max_i max(i/n - u_i, u_i - (i-1)/n)`` over the sorted sample.
     ``exact=None`` selects the exact finite-n null distribution when
     n < 100 and the sample has no ties, and the asymptotic law
-    ``kolmogorov_sf(sqrt(n) D)`` otherwise; pass True/False to force.
+    ``scipy.special.kolmogorov(sqrt(n) D)`` otherwise; pass True/False to force.
     """
     u = _probits(data, cdf)
     n = u.size
@@ -76,7 +76,7 @@ def ks_test(data, cdf, exact: bool | None = None) -> tuple[float, float]:
     if exact:
         pvalue = float(kstwo.sf(stat, n))
     else:
-        pvalue = kolmogorov_sf(math.sqrt(n) * stat)
+        pvalue = float(kolmogorov(math.sqrt(n) * stat))
     return stat, pvalue
 
 

@@ -18,7 +18,10 @@ estimate plus a convergence flag; they never silently return a value
 whose tail test failed.  The mean inactivity time series integrates over a
 finite range and genuinely converges.  The (shift, j) loop runs in Python;
 each j block is one numpy (i, k) array, summed over k row by row with the
-same stopping rules as a term-by-term loop.
+same stopping rules as a term-by-term loop.  The log-gamma and regularized
+incomplete gamma factors are ``scipy.special.gammaln``, ``gammainc`` and
+``gammaincc``; the median's Lambert W is the quantile's, in
+``distributions``.
 """
 
 from __future__ import annotations
@@ -30,10 +33,14 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import (  # named so: perfbench's tracer wraps them in this namespace
+    gammainc as regularized_gamma_p,
+    gammaincc as regularized_gamma_q,
+    gammaln as ln_gamma,
+)
 
 from .distributions import Clfrd
-from .special import lambert_w0  # noqa: F401  perfbench's tracer wraps it in this namespace
-from .special import ln_gamma, regularized_gamma_p, regularized_gamma_q
+from .distributions import lambert_w0  # noqa: F401  perfbench's tracer wraps it in this namespace
 
 __all__ = [
     "PdfShape",

@@ -2,8 +2,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from clfrd import Clfrd, StudyConfig, builtin, run_study
+
+# property tests draw the same examples on every run and keep no example database
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 # the eight parameter triples used across the recovery study and invariants
 PARAMETER_SETS = (

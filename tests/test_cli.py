@@ -186,6 +186,11 @@ class TestProps:
         assert payload["mit"] == pytest.approx(0.3592062, abs=1e-4)
         assert payload["hazard_shape"] == "bathtub"
 
+    def test_text_parameters_line(self, capsys):
+        code, out, _ = run_cli(capsys, "props", "--alpha", "2", "--beta", "0.5", "--lambda", "3")
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "parameters: {'alpha': 2.0, 'beta': 0.5, 'lambda': 3.0}"
+
     def test_negative_parameter(self, capsys):
         code, _, _ = run_cli(capsys, "props", "--alpha", "-2", "--beta", "2",
                              "--lambda", "2")
@@ -195,6 +200,17 @@ class TestProps:
 class TestPlumbing:
     def test_usage_error_exit_code(self, capsys):
         assert main(["fit"]) == 2  # missing --data
+
+    def test_format_a_subcommand_does_not_render_is_a_usage_error(self, capsys):
+        params = ("--alpha", "1", "--beta", "1", "--lambda", "1")
+        for argv in (("fit", "--data", "builtin:students", "--format", "csv"),
+                     ("simulate", "--reps", "2", "--format", "text"),
+                     ("sample", *params, "-n", "2", "--format", "csv"),
+                     ("curve", "--data", "builtin:students", "--format", "json"),
+                     ("props", *params, "--format", "csv")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_USAGE and out == ""
+            assert "argument --format: invalid choice" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "fit.json"

@@ -172,13 +172,34 @@ class TestClfrdQuantile:
         for v in q[:4]:
             assert abs(m.cdf(m.quantile(v)) - v) <= 1e-12
 
-    # lam 100 and 1000 solve for W in log space, 0.5 and 2 directly
-    @pytest.mark.parametrize("lam", [0.5, 2.0, 100.0, 1000.0])
+    # lam 57, 100 and 1000 solve for W in log space, 0.5 and 2 directly;
+    # just past the switch, q = 1 - 2^-53 takes the most Newton steps
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 57.0, 100.0, 1000.0])
     def test_quantile_does_not_depend_on_its_batch(self, lam):
         m = Clfrd(1.0, 1.0, lam)
-        q = np.linspace(0.0, 0.999999, 20001)
-        batched = m.quantile(q)[::50]
-        np.testing.assert_array_equal(batched, [m.quantile(v) for v in q[::50]])
+        q = np.append(np.linspace(0.0, 0.999999, 20001), 1.0 - 2.0**-53)
+        picks = np.append(np.arange(0, q.size, 50), q.size - 1)
+        np.testing.assert_array_equal(m.quantile(q)[picks], [m.quantile(v) for v in q[picks]])
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="W(lam (1 - q) e^lam) - lam - log1p(-q) cancels at small q: for lam = e^0.5 "
+        "the relative error is 0.12 at q = 1e-15, 1.8e-4 at 1e-12 and 3.6e-7 at 1e-9, "
+        "and quantile(2^-52) = 0 lies below quantile(1e-17) = 1e-17",
+    )
+    def test_lower_tail_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        lam = math.exp(0.5)
+        m = Clfrd(1.0, 1.0, lam)
+        with mpmath.workdps(50):
+            big_lam = mpmath.mpf(lam)
+            for q in (1e-15, 1e-12, 1e-9):
+                # y = x + x^2 / 2 solves y + lam (1 - e^-y) = -log(1 - q)
+                target = -mpmath.log1p(-mpmath.mpf(q))
+                y = mpmath.findroot(lambda y: y + big_lam * (1 - mpmath.exp(-y)) - target,
+                                    target / (1 + big_lam))
+                assert m.quantile(q) == pytest.approx(float(2 * y / (1 + mpmath.sqrt(1 + 2 * y))), rel=1e-12)
+        assert m.quantile(2.0**-52) >= m.quantile(1e-17)
 
 
 @pytest.mark.parametrize("params", PARAMETER_SETS)

@@ -20,7 +20,7 @@ from clfrd import (
     sample_inverse,
     wald_ci,
 )
-from clfrd.estimation import _FAMILIES, _loglik_rows, _neg_loglik_fd, fit_clfrd_block
+from clfrd.estimation import _FAMILIES, _loglik, _neg_loglik_fd, fit_clfrd_block
 from clfrd.simulation import DEFAULT_PARAMETER_SETS, DEFAULT_SEED, _cell_seed, _fit_replications
 
 # published estimates for the three benchmark datasets
@@ -198,7 +198,7 @@ class TestFitClfrd:
 
 def reference_loglik(theta, x):
     # reference: one scalar parameter triple in one 1-D pass, the form the
-    # row kernel must reproduce bit for bit
+    # raw kernel must reproduce bit for bit
     a, b, lam = theta
     y = a * x + 0.5 * b * x * x
     e = np.exp(-y)
@@ -232,10 +232,9 @@ class TestRawKernels:
         rng = np.random.default_rng(n)
         x = sample_inverse(Clfrd(2.0, 2.0, 2.0), n, SeededStream(31, n))
         theta = np.vstack([[2.0, 2.0, 2.0], np.exp(rng.uniform(-20.0, 25.0, (5, 3)))])
-        rows = _loglik_rows(theta, x)
-        for k, t in enumerate(theta):
-            assert rows[k] == reference_loglik(t, x)
-            assert rows[k] == clfrd_loglik(Clfrd(*t), x)
+        for t in theta:
+            assert _loglik(t, x) == reference_loglik(t, x)
+            assert _loglik(t, x) == clfrd_loglik(Clfrd(*t), x)
 
     def test_fd_objective_matches_scipy_forward_difference(self):
         # log-uniform over e^-20..e^25: components past 2^27 make 1e-8

@@ -9,7 +9,7 @@ tests, in about a second, instead of in the benchmark's slower smoke run.
 import sys
 from pathlib import Path
 
-from clfrd import properties, sampling, simulation, special
+from clfrd import distributions, properties, sampling, simulation
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -24,5 +24,5 @@ def test_tracer_finds_every_name_it_wraps(monkeypatch):
         layers.instrument(tracer)  # AttributeError for a name no longer bound
     finally:
         tracer.uninstall()
-    assert properties.lambert_w0 is special.lambert_w0
+    assert properties.lambert_w0 is distributions.lambert_w0
     assert simulation.sample_inverse is sampling.sample_inverse
