@@ -18,7 +18,6 @@ from .distributions import (
     Rayleigh,
 )
 from .estimation import (
-    FitOptions,
     FitResult,
     NonConvergenceError,
     clfrd_loglik,
@@ -66,7 +65,6 @@ __all__ = [
     "GeneralizedExponential",
     "LifetimeModel",
     "MODEL_REGISTRY",
-    "FitOptions",
     "FitResult",
     "NonConvergenceError",
     "clfrd_loglik",

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .datasets import builtin, load_csv, load_json, BUILTIN_NAMES
 from .distributions import Clfrd, MODEL_REGISTRY
-from .estimation import FitOptions, NonConvergenceError, fit_model
+from .estimation import NonConvergenceError, fit_model
 from .gof import compare_models
 from .properties import hazard_shape, median, mit, mrl, pdf_shape, raw_moment
 from .sampling import SeededStream, sample_compound, sample_inverse
@@ -129,10 +129,9 @@ def _render_fit(fit, fmt: str, no_meta: bool) -> str:
 
 def _cmd_fit(args) -> int:
     data = _load_data(args.data, args.raw)
-    opts = FitOptions(ci_level=args.level)
-    fit = fit_model(args.model, data.values, opts)
+    fit = fit_model(args.model, data.values, args.level)
     _emit(_render_fit(fit, args.format, args.no_meta), args.out)
-    return EXIT_OK if fit.converged else EXIT_CONVERGENCE
+    return EXIT_OK
 
 
 _COMPARE_FIELDS = ("model", "neg2_loglik", "ks_stat", "ks_pvalue",

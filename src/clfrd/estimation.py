@@ -15,19 +15,18 @@ the model collapses to the plain linear-failure-rate law, so some samples
 have no interior stationary point and the optimizer legitimately stops at
 the edge of the search region.  Such fits are flagged ``boundary=True``.
 
-Giving ``FitOptions.start`` selects a bounded L-BFGS-B search of the
-compounded model from that start; the Monte Carlo recovery study uses it
-with the true parameters as the start, the standard design for studying
-the sampling behaviour of a local MLE on a ridged likelihood.  Its
-gradient is L-BFGS-B's own forward difference, computed here in one numpy
-pass over the point and its three shifted copies.  One loop runs scipy's
-``setulb`` for a whole ``(reps, n)`` block of samples in lockstep
-(``fit_clfrd_block``; a single fit is a block of one row): each round
-steps every unfinished row to its next function request and answers them
-all in one pass.  Every row's iterates, iteration count and stop are
-those of ``minimize(method="L-BFGS-B")`` with scipy's finite differences
-on that sample alone, bit for bit.  A local estimate pinned at the
-``1e-10`` lower bound is flagged ``boundary=True``.
+``fit_clfrd_block`` is the other fit, the one the Monte Carlo recovery
+study runs: a bounded L-BFGS-B search of the compounded model from a
+given start, the true parameters in the study, the standard design for
+studying the sampling behaviour of a local MLE on a ridged likelihood.
+Its gradient is L-BFGS-B's own forward difference, computed here in one
+numpy pass over the point and its three shifted copies.  One loop runs
+scipy's ``setulb`` for a whole ``(reps, n)`` block of samples in lockstep:
+each round steps every unfinished row to its next function request and
+answers them all in one pass.  Every row's iterates, iteration count and
+stop are those of ``minimize(method="L-BFGS-B")`` with scipy's finite
+differences on that sample alone, bit for bit.  An estimate pinned at the
+``1e-10`` lower bound is flagged in ``LocalFits.at_bound``.
 
 The public ``clfrd_loglik``/``clfrd_score``/``clfrd_observed_information``
 and ``fit_*`` functions are the only validation point: they check the
@@ -45,8 +44,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize
 from scipy.optimize._lbfgsb import setulb
-from scipy.optimize._lbfgsb_py import status_messages as _LBFGSB_STATUS
-from scipy.optimize._lbfgsb_py import task_messages as _LBFGSB_REASON
 from scipy.special import ndtri
 
 from .distributions import (
@@ -60,7 +57,6 @@ from .distributions import (
 )
 
 __all__ = [
-    "FitOptions",
     "FitResult",
     "LocalFits",
     "NonConvergenceError",
@@ -74,6 +70,8 @@ __all__ = [
     "wald_ci",
 ]
 
+_MAX_ITERATIONS = 500  # BFGS cap of the multistart driver; also sizes its Nelder-Mead rescue
+_LOCAL_MAX_ITERATIONS = 100  # L-BFGS-B cap of the local fit
 _LOG_EDGE = 25.0  # |log parameter| beyond this marks a ridge/boundary fit
 _LOG_WALL = 600.0  # objective returns +inf past here to keep exp() finite
 _GRADIENT_GATE = 1e-5  # scaled sup-norm of the log-scale gradient a fit must reach
@@ -96,25 +94,6 @@ _TASK_EVALUATION_CAP, _TASK_ITERATION_CAP = 502, 504
 
 class NonConvergenceError(RuntimeError):
     """No optimizer start satisfied the convergence gate."""
-
-
-@dataclass
-class FitOptions:
-    max_iterations: int = 500
-    ci_level: float = 0.95
-    start: tuple | None = None  # natural-scale CLFRD start; selects the local fit
-    compute_covariance: bool = True
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("FitOptions: max_iterations must be positive")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValueError("FitOptions: ci_level must lie in (0, 1)")
-        if self.start is not None:
-            start = np.asarray(self.start, dtype=float)
-            if start.shape != (3,) or not np.all(np.isfinite(start) & (start > 0.0)):
-                raise ValueError(f"FitOptions: start must be 3 finite, strictly positive values, "
-                                 f"got {self.start!r}")
 
 
 @dataclass
@@ -313,43 +292,9 @@ def wald_ci(fit: FitResult, level: float | None = None) -> dict[str, tuple[float
     }
 
 
-def _finalize(name, theta, x, opts, converged, iterations, restarts,
-              boundary=False, message=""):
-    family = _FAMILIES[name]
-    model = MODEL_REGISTRY[name](*theta)
-    ll = family.loglik(theta, x)
-    covariance = std = info = None
-    if opts.compute_covariance:
-        info = np.asarray(family.information(theta, x), dtype=float)
-        try:
-            np.linalg.cholesky(info)
-            covariance = np.linalg.inv(info)
-        except np.linalg.LinAlgError:
-            message = (message + "; " if message else "") + "observed information not positive definite"
-        if covariance is not None:
-            std = {nm: float(math.sqrt(covariance[i, i])) for i, nm in enumerate(model.param_names)}
-    fit = FitResult(
-        model=model,
-        params=model.params(),
-        loglik=ll,
-        neg2_loglik=-2.0 * ll,
-        covariance=covariance,
-        std_errors=std,
-        ci=None,
-        ci_level=opts.ci_level,
-        converged=converged,
-        iterations=iterations,
-        n_restarts_used=restarts,
-        boundary=boundary,
-        message=message,
-        fisher_info=info,
-    )
-    if std is not None:
-        fit.ci = wald_ci(fit)
-    return fit
-
-
-def _fit_multistart(name: str, x: np.ndarray, opts: FitOptions) -> FitResult:
+def _fit_multistart(name: str, x: np.ndarray, ci_level: float) -> FitResult:
+    if not 0.0 < ci_level < 1.0:
+        raise ValueError("ci_level must lie in (0, 1)")
     family = _FAMILIES[name]
 
     def neg_ll(lt):
@@ -363,7 +308,7 @@ def _fit_multistart(name: str, x: np.ndarray, opts: FitOptions) -> FitResult:
 
     def bfgs(lt0):
         return minimize(neg_ll, lt0, jac=neg_grad, method="BFGS",
-                        options=dict(maxiter=opts.max_iterations, gtol=1e-9))
+                        options=dict(maxiter=_MAX_ITERATIONS, gtol=1e-9))
 
     best = None
     total_iter = 0
@@ -375,7 +320,7 @@ def _fit_multistart(name: str, x: np.ndarray, opts: FitOptions) -> FitResult:
         if scaled >= _GRADIENT_GATE:
             # simplex rescue, then polish again
             nm = minimize(neg_ll, res.x, method="Nelder-Mead",
-                          options=dict(maxiter=4 * opts.max_iterations, maxfev=8 * opts.max_iterations,
+                          options=dict(maxiter=4 * _MAX_ITERATIONS, maxfev=8 * _MAX_ITERATIONS,
                                        xatol=_SIMPLEX_XATOL, fatol=1e-12))
             res2 = bfgs(nm.x)
             iters += nm.nit + res2.nit
@@ -391,8 +336,37 @@ def _fit_multistart(name: str, x: np.ndarray, opts: FitOptions) -> FitResult:
     lt = best[1]
     boundary = bool(np.any(np.abs(lt) > _LOG_EDGE))
     message = "parameter at edge of search region (flat compounding ridge)" if boundary else ""
-    return _finalize(name, np.exp(lt), x, opts, converged=True, iterations=total_iter,
-                     restarts=len(starts), boundary=boundary, message=message)
+    theta = np.exp(lt)
+    model = MODEL_REGISTRY[name](*theta)
+    ll = family.loglik(theta, x)
+    info = np.asarray(family.information(theta, x), dtype=float)
+    covariance = std = None
+    try:
+        np.linalg.cholesky(info)
+    except np.linalg.LinAlgError:
+        message = (message + "; " if message else "") + "observed information not positive definite"
+    else:
+        covariance = np.linalg.inv(info)
+        std = {nm: float(math.sqrt(covariance[i, i])) for i, nm in enumerate(model.param_names)}
+    fit = FitResult(
+        model=model,
+        params=model.params(),
+        loglik=ll,
+        neg2_loglik=-2.0 * ll,
+        covariance=covariance,
+        std_errors=std,
+        ci=None,
+        ci_level=ci_level,
+        converged=True,
+        iterations=total_iter,
+        n_restarts_used=len(starts),
+        boundary=boundary,
+        message=message,
+        fisher_info=info,
+    )
+    if std is not None:
+        fit.ci = wald_ci(fit)
+    return fit
 
 
 def _neg_loglik_fd(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -464,27 +438,22 @@ class LocalFits(NamedTuple):
     def at_bound(self) -> np.ndarray:
         return np.any(self.theta <= _LOCAL_LOWER, axis=1)
 
-    def message(self, row: int) -> str:
-        """scipy's ``OptimizeResult.message`` for that row."""
-        status, reason = self.task[row]
-        return f"{_LBFGSB_STATUS[status]}: {_LBFGSB_REASON[reason]}"
 
-
-def _lbfgsb_lockstep(samples: np.ndarray, start, max_iterations: int) -> LocalFits:
+def _lbfgsb_lockstep(samples: np.ndarray, start: np.ndarray) -> LocalFits:
     """Bounded L-BFGS-B from ``start`` on every row of a ``(reps, n)`` block.
 
     Each row keeps its own scipy ``setulb`` state, with the settings of
     ``minimize(method="L-BFGS-B")`` on ``[1e-10, inf)`` bounds: m=10,
-    default ``factr`` and ``pgtol``, ``maxls=20``, the ``max_iterations``
-    and ``_FD_MAXFUN`` caps.  Each round steps every active row to its next
-    function request and answers all requests with one ``_neg_loglik_fd``
-    pass; a request at the point last evaluated reuses that value, as
-    scipy's ``ScalarFunction`` does.  Each row's iterates, ``nit`` and stop
-    are therefore those of ``minimize`` on that sample alone, whatever
-    else shares the block.
+    default ``factr`` and ``pgtol``, ``maxls=20``, the
+    ``_LOCAL_MAX_ITERATIONS`` and ``_FD_MAXFUN`` caps.  Each round steps
+    every active row to its next function request and answers all
+    requests with one ``_neg_loglik_fd`` pass; a request at the point last
+    evaluated reuses that value, as scipy's ``ScalarFunction`` does.  Each
+    row's iterates, ``nit`` and stop are therefore those of ``minimize`` on
+    that sample alone, whatever else shares the block.
     """
     reps, dim = samples.shape[0], 3
-    x = np.tile(np.maximum(np.asarray(start, dtype=float), _LOCAL_LOWER), (reps, 1))
+    x = np.tile(np.maximum(start, _LOCAL_LOWER), (reps, 1))
     # scipy evaluates the start before the first step
     f, g = _neg_loglik_fd(x, samples)
     evaluated_at = x.tolist()
@@ -511,7 +480,7 @@ def _lbfgsb_lockstep(samples: np.ndarray, start, max_iterations: int) -> LocalFi
                     return True
             elif ti[0] == _TASK_NEW_X:
                 nit[i] += 1
-                if nit[i] >= max_iterations:
+                if nit[i] >= _LOCAL_MAX_ITERATIONS:
                     ti[:] = _TASK_STOP, _TASK_ITERATION_CAP
                 elif nfev[i] > _FD_MAXFUN:
                     ti[:] = _TASK_STOP, _TASK_EVALUATION_CAP
@@ -529,76 +498,56 @@ def _lbfgsb_lockstep(samples: np.ndarray, start, max_iterations: int) -> LocalFi
     return LocalFits(x, nit, task)
 
 
-def fit_clfrd_block(samples, opts: FitOptions) -> LocalFits:
+def fit_clfrd_block(samples, start) -> LocalFits:
     """Local L-BFGS-B fits of the compounded model, one per row of ``samples``.
 
-    ``samples`` is a ``(reps, n)`` block of observations, validated once
-    here, and ``opts.start`` is required.  Row ``r`` of the result is what
-    ``fit_clfrd(samples[r], opts)`` reports, bit for bit: every row runs
-    the same lockstep L-BFGS-B from the start.
+    ``samples`` is a ``(reps, n)`` block of observations and ``start`` the
+    natural-scale ``(alpha, beta, lam)`` every row starts from; both are
+    validated once here.  Each row's result is what the same call on
+    that row alone reports, bit for bit, and what scipy's
+    ``minimize(method="L-BFGS-B")`` gives on that sample with bounds
+    ``[1e-10, inf)`` and at most 100 iterations.
     """
     block = np.asarray(samples, dtype=float)
     if block.ndim != 2 or block.shape[1] < 4:
         raise ValueError(f"need a (replications, n >= 4) block of observations, got shape {block.shape}")
     _check_data(block)
-    if opts.start is None:
-        raise ValueError("fit_clfrd_block: FitOptions.start is required")
-    return _lbfgsb_lockstep(block, opts.start, opts.max_iterations)
+    theta0 = np.asarray(start, dtype=float)
+    if theta0.shape != (3,) or not np.all(np.isfinite(theta0) & (theta0 > 0.0)):
+        raise ValueError(f"fit_clfrd_block: start must be 3 finite, strictly positive values, "
+                         f"got {start!r}")
+    return _lbfgsb_lockstep(block, theta0)
 
 
-def _fit_clfrd_local(x: np.ndarray, opts: FitOptions) -> FitResult:
-    fits = _lbfgsb_lockstep(x[None, :], opts.start, opts.max_iterations)
-    theta = fits.theta[0]
-    converged = bool(fits.converged[0])
-    pinned = [name for name, v in zip(Clfrd.param_names, theta) if v <= _LOCAL_LOWER]
-    boundary = bool(pinned)
-    message = "" if converged else fits.message(0)
-    if boundary:
-        note = f"{', '.join(pinned)} at the lower bound {_LOCAL_LOWER:g}"
-        message = (message + "; " if message else "") + note
-    return _finalize("clfrd", theta, x, opts, converged=converged, iterations=int(fits.nit[0]),
-                     restarts=1, boundary=boundary, message=message)
-
-
-def fit_clfrd(data, opts: FitOptions | None = None) -> FitResult:
+def fit_clfrd(data, ci_level: float = 0.95) -> FitResult:
     """Maximum-likelihood fit of the compounded model.
 
-    Without ``opts.start``: the multistart driver over log-parameters from
-    a deterministic grid of moment-based seeds (``alpha0 = 1/mean``,
-    ``beta0 = 1/mean^2``, ``lam0`` in {0.1, 1, 3} plus scaled variants).
-    Returns the best point passing the scaled-gradient gate; deterministic
-    ties keep the earliest start.  With ``opts.start``: the local L-BFGS-B
-    fit from that start.
+    The multistart driver over log-parameters from a deterministic grid of
+    moment-based seeds (``alpha0 = 1/mean``, ``beta0 = 1/mean^2``, ``lam0``
+    in {0.1, 1, 3} plus scaled variants).  Returns the best point passing
+    the scaled-gradient gate, with Wald intervals at ``ci_level``;
+    deterministic ties keep the earliest start.
 
-    Raises ``NonConvergenceError`` when no multistart start converges.  A
-    singular observed information leaves ``covariance``/``std_errors``/``ci``
-    as None with a note in ``message``; the fit itself is still returned.
+    Raises ``NonConvergenceError`` when no start converges.  A singular
+    observed information leaves ``covariance``/``std_errors``/``ci`` as
+    None with a note in ``message``; the fit itself is still returned.
     """
-    x = _check_data(data, minimum_size=4)
-    opts = opts or FitOptions()
-    if opts.start is not None:
-        return _fit_clfrd_local(x, opts)
-    return _fit_multistart("clfrd", x, opts)
+    return _fit_multistart("clfrd", _check_data(data, minimum_size=4), ci_level)
 
 
-def fit_model(name: str, data, opts: FitOptions | None = None) -> FitResult:
+def fit_model(name: str, data, ci_level: float = 0.95) -> FitResult:
     """Fit one model family by name: clfrd, lfrd, rd, ed or ged.
 
     Every family runs the same multistart driver; the exponential and
     Rayleigh fits start at their closed-form estimates and stop there.
-    ``opts.start`` selects the local fit, which only ``clfrd`` has; a
-    baseline given a start raises ``ValueError``.
     """
     if name not in MODEL_REGISTRY:
         raise ValueError(f"unknown model {name!r}; expected one of {sorted(MODEL_REGISTRY)}")
     if name == "clfrd":
-        return fit_clfrd(data, opts)
-    opts = opts or FitOptions()
-    if opts.start is not None:
-        raise ValueError(f"FitOptions.start selects the local CLFRD fit; {name} has none")
-    return _fit_multistart(name, _check_data(data, minimum_size=2), opts)
+        return fit_clfrd(data, ci_level)
+    return _fit_multistart(name, _check_data(data, minimum_size=2), ci_level)
 
 
-def fit_baselines(data, opts: FitOptions | None = None) -> dict[str, FitResult]:
+def fit_baselines(data, ci_level: float = 0.95) -> dict[str, FitResult]:
     """Fit the four baseline families; keys lfrd, rd, ed, ged."""
-    return {name: fit_model(name, data, opts) for name in ("lfrd", "rd", "ed", "ged")}
+    return {name: fit_model(name, data, ci_level) for name in ("lfrd", "rd", "ed", "ged")}

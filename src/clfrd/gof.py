@@ -10,6 +10,9 @@ samples and the asymptotic Kolmogorov limit otherwise, mirroring the
 switching rule of standard statistical software; parameters are treated
 as known in either case, so p-values for fitted models carry the usual
 optimistic bias and are comparison scores rather than calibrated tests.
+The exact law is ``scipy.stats.kstwo``, imported in that branch only:
+``scipy.stats`` takes about half a second to import, and nothing else in
+the package needs it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import kolmogorov
-from scipy.stats import kstwo
 
 from . import estimation
 
@@ -74,6 +76,8 @@ def ks_test(data, cdf, exact: bool | None = None) -> tuple[float, float]:
     if exact is None:
         exact = n < 100 and np.unique(u).size == n
     if exact:
+        from scipy.stats import kstwo
+
         pvalue = float(kstwo.sf(stat, n))
     else:
         pvalue = float(kolmogorov(math.sqrt(n) * stat))
@@ -118,13 +122,14 @@ def aic(neg2_loglik: float, param_count: int) -> tuple[float, float]:
     return neg2_loglik + 2.0 * k, neg2_loglik + 2.0 * (k - 1)
 
 
-def compare_models(data, models=("clfrd", "lfrd", "rd", "ed", "ged"),
-                   opts: estimation.FitOptions | None = None) -> list[GofReport]:
+def compare_models(data, models=("clfrd", "lfrd", "rd", "ed", "ged")) -> list[GofReport]:
     """Fit each named model and rank reports by standard AIC, ascending.
 
-    Per-model fit failures are captured on their row (NaN statistics,
-    ``error`` filled) and the comparison proceeds; failed rows sort last.
-    Ties break deterministically by model name.
+    A model that fails to fit (``NonConvergenceError``, ``ValueError``,
+    ``ArithmeticError``) is captured on its row (NaN statistics, ``error``
+    filled) and the comparison proceeds; failed rows sort last.  Ties
+    break deterministically by model name.  Any other exception is a
+    fault and propagates.
     """
     x = np.asarray(data, dtype=float).ravel()
     if x.size == 0:
@@ -132,7 +137,7 @@ def compare_models(data, models=("clfrd", "lfrd", "rd", "ed", "ged"),
     reports: list[GofReport] = []
     for name in models:
         try:
-            fit = estimation.fit_model(name, x, opts)
+            fit = estimation.fit_model(name, x)
             model = fit.model
             stat, pvalue = ks_test(x, model.cdf)
             a2 = ad_stat(x, model.cdf)
@@ -153,7 +158,7 @@ def compare_models(data, models=("clfrd", "lfrd", "rd", "ed", "ged"),
                     fit=fit,
                 )
             )
-        except Exception as exc:  # per-row capture, comparison proceeds
+        except (estimation.NonConvergenceError, ValueError, ArithmeticError) as exc:
             nan = float("nan")
             reports.append(
                 GofReport(

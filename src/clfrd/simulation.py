@@ -6,18 +6,17 @@ parameter (mean, bias, SD, MSE, normal-theory band of the estimate
 distribution).  By construction ``mse = bias^2 + sd^2`` and
 ``ciw = 2 z sd`` with ``z`` the 97.5% normal quantile.
 
-Each replication runs the local fit of ``estimation``, a bounded
-quasi-Newton search that ``FitOptions.start`` selects, started at the
-true parameters: the study measures the sampling behaviour of the local
-MLE, so the start removes multistart selection effects.  Each replication
-draws its uniforms from its own stream, and one quantile call per cell
-maps the ``(reps, n)`` block to samples; since the quantile does not
-depend on its batch, each row is what ``sample_inverse`` draws from that
-stream.  The block is then validated once and fitted by
-``fit_clfrd_block``, which steps one L-BFGS-B state per replication in
-lockstep and evaluates all pending points in one numpy pass.  Every
-estimate is the one ``fit_clfrd`` gives for that sample alone, bit for
-bit.
+Each replication runs ``estimation.fit_clfrd_block``, a bounded
+quasi-Newton search started at the true parameters: the study measures
+the sampling behaviour of the local MLE, so the start removes multistart
+selection effects.  Each replication draws its uniforms from its own
+stream, and one quantile call per cell maps the ``(reps, n)`` block to
+samples; since the quantile does not depend on its batch, each row is
+what ``sample_inverse`` draws from that stream.  The block is then
+validated once and fitted in one call, which steps one L-BFGS-B state per
+replication in lockstep and evaluates all pending points in one numpy
+pass.  Every estimate is the one that call gives for that sample alone,
+bit for bit.
 
 The likelihood's compounding ridge means a few samples have no interior
 optimum; replications whose fit does not converge (almost always at the
@@ -43,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import Clfrd
-from .estimation import FitOptions, LocalFits, fit_clfrd_block
+from .estimation import LocalFits, fit_clfrd_block
 from .estimation import fit_clfrd  # noqa: F401  perfbench's tracer wraps it in this namespace
 from .sampling import SeededStream
 from .sampling import sample_inverse  # noqa: F401  perfbench's tracer wraps it in this namespace
@@ -74,7 +73,6 @@ DEFAULT_PARAMETER_SETS: tuple[Clfrd, ...] = (
 )
 
 DEFAULT_SEED = 20250809
-_FIT_ITERATION_CAP = 100
 _DEGENERATE_FRACTION = 0.2
 
 _CSV_COLUMNS = (
@@ -141,8 +139,7 @@ def _fit_replications(params: Clfrd, n: int, seed: int, replications) -> LocalFi
     # (reps, n) block, then one lockstep fit of the block from the truth
     u = np.vstack([SeededStream(seed, r).generator().random(n) for r in replications])
     samples = params.quantile(u)
-    opts = FitOptions(start=tuple(params.to_vector()), max_iterations=_FIT_ITERATION_CAP)
-    return fit_clfrd_block(samples, opts)
+    return fit_clfrd_block(samples, params.to_vector())
 
 
 def run_cell(params: Clfrd, n: int, reps: int, seed: int,

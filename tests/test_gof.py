@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import kolmogorov
 
+import clfrd
 from clfrd import (
     Clfrd,
     Exponential,
@@ -15,6 +20,7 @@ from clfrd import (
     compare_models,
     ks_test,
 )
+from clfrd import estimation
 from clfrd.gof import GofWarning
 
 # published per-dataset estimates used to anchor the statistics
@@ -179,6 +185,25 @@ class TestCompareModels:
         # failed rows sort last
         assert reports[-1].model_name == "nosuch"
 
+    def test_untyped_error_propagates(self, students, monkeypatch):
+        def broken(name, data):
+            raise RuntimeError("a fault, not a fit failure")
+
+        monkeypatch.setattr(estimation, "fit_model", broken)
+        with pytest.raises(RuntimeError, match="a fault"):
+            compare_models(students, models=("ed",))
+
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             compare_models([])
+
+
+@pytest.mark.parametrize("module", ["clfrd", "clfrd.cli"])
+def test_import_leaves_scipy_stats_unloaded(module):
+    # only the exact K-S branch needs scipy.stats, and it imports it there
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(clfrd.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    code = f"import sys, {module}; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -1,13 +1,13 @@
-"""Property-based checks of the quantile over the whole parameter space.
+"""Property-based checks of the distribution over the whole parameter space.
 
-Parameters are drawn log-uniform over [1e-6, 1e6]; every quantile list
-holds the extreme levels 0 and 1 - 2^-53.
+Parameters and observations are drawn log-uniform over [1e-6, 1e6];
+every quantile list holds the extreme levels 0 and 1 - 2^-53.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from clfrd import Clfrd
@@ -29,6 +29,19 @@ def test_cdf_inverts_quantile(alpha, beta, lam, qs):
     m = Clfrd(alpha, beta, lam)
     q = np.array(qs)
     assert np.all(np.abs(m.cdf(m.quantile(q)) - q) <= 1e-9)
+
+
+@given(log_uniform, log_uniform, log_uniform, log_uniform)
+def test_cdf_and_sf_sum_to_one(alpha, beta, lam, x):
+    m = Clfrd(alpha, beta, lam)
+    assert abs(m.cdf(x) + m.sf(x) - 1.0) <= 4.0 * np.finfo(float).eps
+
+
+@given(log_uniform, log_uniform, log_uniform, log_uniform)
+@example(1.0, 1.0, 1.0, 1e3)  # sf underflows to 0 here
+def test_hazard_is_finite_and_positive(alpha, beta, lam, x):
+    h = Clfrd(alpha, beta, lam).hazard(x)
+    assert math.isfinite(h) and h > 0.0
 
 
 @given(st.lists(st.floats(0.0, math.exp(60.0)), min_size=1, max_size=30))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from clfrd import (
-    Clfrd, FitOptions, SeededStream, StudyConfig, fit_clfrd, run_cell, run_study, sample_inverse,
+    Clfrd, SeededStream, StudyConfig, run_cell, run_study, sample_inverse,
 )
+from clfrd.estimation import fit_clfrd_block
 from clfrd.simulation import DEFAULT_SEED, _cell_seed, study_rows, study_to_csv, study_to_json
 
 
@@ -44,17 +45,18 @@ class TestRunCell:
         # set 1 at n=100: replication 31 hits the iteration cap, several
         # converge with beta pinned at the 1e-10 bound
         truth, seed = Clfrd(2.0, 2.0, 2.0), _cell_seed(DEFAULT_SEED, 1, 100)
-        opts = FitOptions(start=(2.0, 2.0, 2.0), max_iterations=100, compute_covariance=False)
-        fits = [fit_clfrd(sample_inverse(truth, 100, SeededStream(seed, r)), opts) for r in range(45)]
-        kept = [f for f in fits if f.converged]
+        rows = [fit_clfrd_block(sample_inverse(truth, 100, SeededStream(seed, r))[None], (2.0, 2.0, 2.0))
+                for r in range(45)]
+        kept = [f for f in rows if f.converged[0]]
+        failed = [f for f in rows if not f.converged[0]]
         cell = run_cell(truth, 100, 45, seed)
         assert cell.failures == 45 - len(kept) >= 1
         assert cell.failure_reasons == {
-            "iteration_cap": sum("ITERATIONS REACHED LIMIT" in f.message for f in fits if not f.converged),
-            "other": sum("ITERATIONS REACHED LIMIT" not in f.message for f in fits if not f.converged),
+            "iteration_cap": sum(bool(f.at_iteration_cap[0]) for f in failed),
+            "other": sum(not f.at_iteration_cap[0] for f in failed),
         }
-        assert cell.at_bound == sum(f.boundary for f in kept) >= 1
-        mean = np.array([f.model.to_vector() for f in kept]).mean(axis=0)
+        assert cell.at_bound == sum(bool(f.at_bound[0]) for f in kept) >= 1
+        mean = np.array([f.theta[0] for f in kept]).mean(axis=0)
         assert [cell.per_param[p].mean_mle for p in ("alpha", "beta", "lambda")] == list(mean)
 
     def test_block_shorter_than_four_is_rejected(self):
