@@ -20,8 +20,7 @@ finite range and genuinely converges.  The (shift, j) loop runs in Python;
 each j block is one numpy (i, k) array, summed over k row by row with the
 same stopping rules as a term-by-term loop.  The log-gamma and regularized
 incomplete gamma factors are ``scipy.special.gammaln``, ``gammainc`` and
-``gammaincc``; the median's Lambert W is the quantile's, in
-``distributions``.
+``gammaincc``; the median is the quantile's Newton solve at one half.
 """
 
 from __future__ import annotations
@@ -192,7 +191,7 @@ def raw_moment(model: Clfrd, r: int) -> float:
 
 
 def median(model: Clfrd) -> float:
-    """Closed-form median via the Lambert W function: ``quantile(0.5)``."""
+    """Median: ``quantile(0.5)``, the quantile's monotone Newton solve."""
     return float(model.quantile(0.5))
 
 

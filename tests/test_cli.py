@@ -97,7 +97,7 @@ class TestPinnedFitOutput:
 
     # the recovery study on sets 1 and 8: any change in a study estimate,
     # failure count or bound count changes these bytes
-    STUDY_PINNED = "1abddd3528e4d0ad4e3c8fe65a3d77509f55a602a63c075386c57d8467dfed71"
+    STUDY_PINNED = "b014b5e0ad00df84b15e1e13a17d063244339a541cb1559b73ef037f1852717c"
 
     def test_study_json_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--sets", "1,8", "--sizes", "100",

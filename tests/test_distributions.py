@@ -153,8 +153,8 @@ class TestClfrdQuantile:
 
     @pytest.mark.parametrize("lam", [703.0, 710.0, 1e3, 1e5])
     def test_round_trip_at_large_lam(self, lam):
-        # lam (1 - q) e^lam overflows or W's Halley step does; the quantile
-        # solves for W in log space here
+        # lam (1 - q) e^lam, the Lambert W argument of the closed form,
+        # overflows here; the Newton solve for the shift never forms it
         m = Clfrd(1.0, 1.0, lam)
         q = np.concatenate([[0.0, 1e-9, 1e-6], np.arange(0.01, 0.995, 0.01), [1.0 - 1e-12, 1.0 - 2.0**-53]])
         x = m.quantile(q)
@@ -163,8 +163,8 @@ class TestClfrdQuantile:
 
     @pytest.mark.parametrize("lam", [60.0, 100.0, 300.0, 500.0, 650.0])
     def test_round_trip_past_the_log_space_switch(self, lam):
-        # lambert_w0's route loses about three digits here, to cancellation
-        # in w - lam - log(1 - q)
+        # named for the log-space switch of the former Lambert W quantile,
+        # which lost three digits to cancellation in this range
         m = Clfrd(1.0, 1.0, lam)
         rng = np.random.default_rng(int(lam))
         q = np.concatenate([[0.0, 1e-300, 0.5, 1.0 - 2.0**-53], rng.random(1000)])
@@ -172,8 +172,8 @@ class TestClfrdQuantile:
         for v in q[:4]:
             assert abs(m.cdf(m.quantile(v)) - v) <= 1e-12
 
-    # lam 57, 100 and 1000 solve for W in log space, 0.5 and 2 directly;
-    # just past the switch, q = 1 - 2^-53 takes the most Newton steps
+    # lam 0.5 and 2 start the upper tail at t - lam, the others every level
+    # at t / (1 + lam); at lam 57, q = 1 - 2^-53 takes the most steps, six
     @pytest.mark.parametrize("lam", [0.5, 2.0, 57.0, 100.0, 1000.0])
     def test_quantile_does_not_depend_on_its_batch(self, lam):
         m = Clfrd(1.0, 1.0, lam)
@@ -181,24 +181,22 @@ class TestClfrdQuantile:
         picks = np.append(np.arange(0, q.size, 50), q.size - 1)
         np.testing.assert_array_equal(m.quantile(q)[picks], [m.quantile(v) for v in q[picks]])
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="W(lam (1 - q) e^lam) - lam - log1p(-q) cancels at small q: for lam = e^0.5 "
-        "the relative error is 0.12 at q = 1e-15, 1.8e-4 at 1e-12 and 3.6e-7 at 1e-9, "
-        "and quantile(2^-52) = 0 lies below quantile(1e-17) = 1e-17",
-    )
-    def test_lower_tail_against_mpmath(self):
+    @pytest.mark.parametrize("lam", [1e-6, math.exp(0.5), 57.0, 1e3, 1e5])
+    def test_lower_tail_against_mpmath(self, lam):
         mpmath = pytest.importorskip("mpmath")
-        lam = math.exp(0.5)
         m = Clfrd(1.0, 1.0, lam)
+        levels = [1e-300, 1e-100, 1e-17, 2.0**-52, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5,
+                  0.9, 1.0 - 1e-9, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+        x = m.quantile(np.array(levels))
         with mpmath.workdps(50):
             big_lam = mpmath.mpf(lam)
-            for q in (1e-15, 1e-12, 1e-9):
-                # y = x + x^2 / 2 solves y + lam (1 - e^-y) = -log(1 - q)
+            for q, got in zip(levels, x):
+                # y = x + x^2 / 2 solves y - lam expm1(-y) = -log(1 - q)
                 target = -mpmath.log1p(-mpmath.mpf(q))
-                y = mpmath.findroot(lambda y: y + big_lam * (1 - mpmath.exp(-y)) - target,
+                y = mpmath.findroot(lambda y: y - big_lam * mpmath.expm1(-y) - target,
                                     target / (1 + big_lam))
-                assert m.quantile(q) == pytest.approx(float(2 * y / (1 + mpmath.sqrt(1 + 2 * y))), rel=1e-12)
+                want = float(2 * y / (1 + mpmath.sqrt(1 + 2 * y)))
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
         assert m.quantile(2.0**-52) >= m.quantile(1e-17)
 
 
