@@ -70,10 +70,10 @@ def lambert_w0(z):
     return float(w[0]) if scalar else w
 
 
-def _as_domain_array(x, minimum=0.0, name="x"):
+def _as_domain_array(x):
     arr = np.asarray(x, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < minimum):
-        raise ValueError(f"{name} must be >= {minimum} and finite")
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+        raise ValueError("x must be >= 0 and finite")
     return arr
 
 

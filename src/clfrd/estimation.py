@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -108,10 +108,8 @@ class FitResult:
     ci_level: float
     converged: bool
     iterations: int
-    n_restarts_used: int
     boundary: bool = False
     message: str = ""
-    fisher_info: np.ndarray | None = field(default=None, repr=False)
 
 
 def _check_data(data, minimum_size=1) -> np.ndarray:
@@ -359,10 +357,8 @@ def _fit_multistart(name: str, x: np.ndarray, ci_level: float) -> FitResult:
         ci_level=ci_level,
         converged=True,
         iterations=total_iter,
-        n_restarts_used=len(starts),
         boundary=boundary,
         message=message,
-        fisher_info=info,
     )
     if std is not None:
         fit.ci = wald_ci(fit)

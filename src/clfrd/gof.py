@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import kolmogorov
@@ -48,7 +48,6 @@ class GofReport:
     aic_standard: float
     aic_reduced: float
     error: str | None = None
-    fit: object = field(default=None, repr=False)
 
 
 def _probits(data, cdf) -> np.ndarray:
@@ -155,7 +154,6 @@ def compare_models(data, models=("clfrd", "lfrd", "rd", "ed", "ged")) -> list[Go
                     neg2_loglik=fit.neg2_loglik,
                     aic_standard=aic_std,
                     aic_reduced=aic_red,
-                    fit=fit,
                 )
             )
         except (estimation.NonConvergenceError, ValueError, ArithmeticError) as exc:

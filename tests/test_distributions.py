@@ -9,6 +9,7 @@ from clfrd import (
     Exponential,
     GeneralizedExponential,
     LinearFailureRate,
+    MODEL_REGISTRY,
     Rayleigh,
 )
 
@@ -308,3 +309,11 @@ class TestBaselines:
         ):
             with pytest.raises(ValueError):
                 model.pdf(-1.0)
+
+    def test_non_finite_x_rejected_everywhere(self):
+        for cls in MODEL_REGISTRY.values():
+            model = cls(*[1.5] * cls.param_count)
+            for method in ("log_pdf", "pdf", "cdf", "sf", "log_sf", "hazard"):
+                for x in (math.inf, math.nan):
+                    with pytest.raises(ValueError):
+                        getattr(model, method)(x)

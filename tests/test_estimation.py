@@ -453,7 +453,6 @@ class TestFittingDriver:
         # sup-norm of the log-scale gradient per observation, the driver's gate
         assert fit.converged
         assert np.max(np.abs(_FAMILIES[name].score(theta, x) * theta)) / x.size < 1e-5
-        assert fit.n_restarts_used == len(_FAMILIES[name].starts(x))
 
     @pytest.mark.parametrize("name", ["lfrd", "rd", "ed", "ged"])
     def test_baseline_kernels_match_finite_differences(self, name, students):

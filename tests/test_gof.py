@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import subprocess
@@ -198,12 +199,46 @@ class TestCompareModels:
             compare_models([])
 
 
+def _fresh_interpreter(code):
+    # stdout of ``code`` run in a new interpreter that imports this checkout's package
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(clfrd.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    return out.stdout.strip()
+
+
 @pytest.mark.parametrize("module", ["clfrd", "clfrd.cli"])
 def test_import_leaves_scipy_stats_unloaded(module):
     # only the exact K-S branch needs scipy.stats, and it imports it there
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(clfrd.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys, {module}; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert _fresh_interpreter(f"import sys, {module}; print('scipy.stats' in sys.modules)") == "False"
+
+
+def test_distribution_and_samplers_load_no_scipy():
+    # the package imports each module on first use, and these need numpy only
+    code = ("import sys; from clfrd import Clfrd, SeededStream, sample_inverse; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_star_import_binds_every_public_name():
+    code = "import clfrd; from clfrd import *; print([n for n in clfrd.__all__ if n not in globals()])"
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_public_names_are_their_defining_modules_objects():
+    for name in set(clfrd.__all__) - {"__version__"}:
+        module = f"clfrd.{clfrd._MODULE_OF[name]}"
+        obj = getattr(clfrd, name)
+        assert obj is getattr(importlib.import_module(module), name)
+        assert getattr(obj, "__module__", module) == module
+
+
+def test_all_is_unique_and_listed_by_dir():
+    assert len(set(clfrd.__all__)) == len(clfrd.__all__)
+    assert set(clfrd.__all__) <= set(dir(clfrd))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        clfrd.no_such_name
