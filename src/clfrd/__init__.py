@@ -15,7 +15,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "distributions": ("Clfrd", "LinearFailureRate", "Rayleigh", "Exponential",
-                      "GeneralizedExponential", "LifetimeModel", "MODEL_REGISTRY"),
+                      "GeneralizedExponential", "LifetimeModel", "MODEL_REGISTRY",
+                      "DEFAULT_PARAMETER_SETS"),
     "estimation": ("FitResult", "NonConvergenceError", "clfrd_loglik", "clfrd_score",
                    "clfrd_observed_information", "fit_clfrd", "fit_model", "fit_baselines",
                    "wald_ci"),
@@ -25,8 +26,7 @@ _EXPORTS = {
                    "SeriesTruncation", "SeriesResult", "mrl_series", "mit_series",
                    "raw_moment_series"),
     "sampling": ("SeededStream", "sample_inverse", "sample_compound"),
-    "simulation": ("DEFAULT_PARAMETER_SETS", "StudyConfig", "SimulationSummary", "run_cell",
-                   "run_study"),
+    "simulation": ("StudyConfig", "SimulationSummary", "run_cell", "run_study"),
     "datasets": ("Dataset", "builtin", "load_csv", "load_json"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

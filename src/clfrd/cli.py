@@ -16,6 +16,11 @@ wins, and without it a ``CLFRD_SEED`` that is not an integer is a usage
 error.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 non-convergence, 5 domain/data.
+
+Each subcommand imports the modules it needs when it runs, so ``clfrd
+sample`` and ``clfrd --version`` load numpy but not scipy; only the
+commands that fit (``fit``, ``compare``, ``curve``, ``simulate``) or
+integrate (``props``) load scipy.
 """
 
 from __future__ import annotations
@@ -31,19 +36,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+# perfbench's tracer wraps ``compare_models`` and ``builtin`` in this namespace
 from .datasets import builtin, load_csv, load_json, BUILTIN_NAMES
-from .distributions import Clfrd, MODEL_REGISTRY
-from .estimation import NonConvergenceError, fit_model
+from .distributions import Clfrd, DEFAULT_PARAMETER_SETS, MODEL_REGISTRY
 from .gof import compare_models
-from .properties import hazard_shape, median, mit, mrl, pdf_shape, raw_moment
-from .sampling import SeededStream, sample_compound, sample_inverse
-from .simulation import (
-    DEFAULT_PARAMETER_SETS,
-    DEFAULT_SEED,
-    StudyConfig,
-    run_study,
-    study_to_csv,
-)
+from .sampling import DEFAULT_SEED, SeededStream, sample_compound, sample_inverse
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -128,6 +125,8 @@ def _render_fit(fit, fmt: str, no_meta: bool) -> str:
 
 
 def _cmd_fit(args) -> int:
+    from .estimation import fit_model
+
     data = _load_data(args.data, args.raw)
     fit = fit_model(args.model, data.values, args.level)
     _emit(_render_fit(fit, args.format, args.no_meta), args.out)
@@ -180,6 +179,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulation import StudyConfig, run_study, study_to_csv, study_to_json
+
     labels = tuple(range(1, len(DEFAULT_PARAMETER_SETS) + 1))
     sets = DEFAULT_PARAMETER_SETS
     if args.sets:
@@ -198,8 +199,6 @@ def _cmd_simulate(args) -> int:
     )
     summaries = run_study(cfg) if sizes else []
     if args.format == "json":
-        from .simulation import study_to_json
-
         meta = None if args.no_meta else _meta(args.seed)
         _emit(study_to_json(summaries, meta) + "\n", args.out)
     else:
@@ -223,6 +222,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from .estimation import fit_model
+
     data = _load_data(args.data, args.raw)
     models = tuple(args.models.split(",")) if args.models else _MODEL_CHOICES
     x = np.sort(data.values)
@@ -241,6 +242,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_props(args) -> int:
+    from .properties import hazard_shape, median, mit, mrl, pdf_shape, raw_moment
+
     model = Clfrd(args.alpha, args.beta, getattr(args, "lambda"))
     at = args.at
     report = {
@@ -358,7 +361,13 @@ def _dispatch(args, parser) -> int:
     except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as exc:
         print(f"clfrd: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except NonConvergenceError as exc:
+    except RuntimeError as exc:
+        # NonConvergenceError is a RuntimeError, imported here so that a command
+        # that does not fit never loads estimation
+        from .estimation import NonConvergenceError
+
+        if not isinstance(exc, NonConvergenceError):
+            raise
         print(f"clfrd: fit did not converge: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except (ValueError, KeyError, ArithmeticError) as exc:

@@ -5,7 +5,8 @@
 distributed.  ``LinearFailureRate``, ``Rayleigh``, ``Exponential`` and
 ``GeneralizedExponential`` are the comparison baselines.  All models share
 the ``LifetimeModel`` surface: ``pdf``, ``log_pdf``, ``cdf``, ``sf``,
-``hazard``, ``quantile`` plus ``param_count``.
+``hazard``, ``quantile`` plus ``param_count``.  ``DEFAULT_PARAMETER_SETS``
+holds the eight published ``Clfrd`` triples.
 
 Evaluation methods accept scalars or numpy arrays and return a matching
 shape.  Arguments are validated, never clamped: negative ``x`` raises.
@@ -33,6 +34,7 @@ __all__ = [
     "Exponential",
     "GeneralizedExponential",
     "MODEL_REGISTRY",
+    "DEFAULT_PARAMETER_SETS",
 ]
 
 
@@ -385,3 +387,16 @@ MODEL_REGISTRY: dict[str, type[LifetimeModel]] = {
     "ed": Exponential,
     "ged": GeneralizedExponential,
 }
+
+# the eight published parameter triples (alpha, beta, lambda) of the
+# paper's tables, figures and recovery study
+DEFAULT_PARAMETER_SETS: tuple[Clfrd, ...] = (
+    Clfrd(2.0, 2.0, 2.0),
+    Clfrd(2.0, 2.0, 0.5),
+    Clfrd(2.0, 0.5, 2.0),
+    Clfrd(2.0, 0.5, 0.5),
+    Clfrd(0.5, 2.0, 2.0),
+    Clfrd(0.5, 2.0, 0.5),
+    Clfrd(0.5, 0.5, 2.0),
+    Clfrd(0.5, 0.5, 0.5),
+)

@@ -10,9 +10,12 @@ samples and the asymptotic Kolmogorov limit otherwise, mirroring the
 switching rule of standard statistical software; parameters are treated
 as known in either case, so p-values for fitted models carry the usual
 optimistic bias and are comparison scores rather than calibrated tests.
-The exact law is ``scipy.stats.kstwo``, imported in that branch only:
-``scipy.stats`` takes about half a second to import, and nothing else in
-the package needs it.
+The exact law is ``scipy.stats.kstwo`` and the limit is
+``scipy.special.kolmogorov``, each imported in its own branch, and
+``compare_models`` imports ``estimation`` (and so ``scipy.optimize``)
+when it is called: the statistics themselves need numpy only, and
+``scipy.stats`` and ``scipy.optimize`` take about half a second each to
+import.
 """
 
 from __future__ import annotations
@@ -22,9 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov
-
-from . import estimation
 
 __all__ = ["GofReport", "GofWarning", "ks_test", "ad_stat", "cm_stat", "aic", "compare_models"]
 
@@ -79,6 +79,8 @@ def ks_test(data, cdf, exact: bool | None = None) -> tuple[float, float]:
 
         pvalue = float(kstwo.sf(stat, n))
     else:
+        from scipy.special import kolmogorov
+
         pvalue = float(kolmogorov(math.sqrt(n) * stat))
     return stat, pvalue
 
@@ -130,6 +132,8 @@ def compare_models(data, models=("clfrd", "lfrd", "rd", "ed", "ged")) -> list[Go
     break deterministically by model name.  Any other exception is a
     fault and propagates.
     """
+    from . import estimation
+
     x = np.asarray(data, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("compare_models: empty dataset")

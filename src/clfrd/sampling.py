@@ -19,7 +19,10 @@ import numpy as np
 
 from .distributions import Clfrd, LifetimeModel
 
-__all__ = ["SeededStream", "sample_inverse", "sample_compound"]
+__all__ = ["DEFAULT_SEED", "SeededStream", "sample_inverse", "sample_compound"]
+
+# the seed of the CLI's streams and of the recovery study when none is given
+DEFAULT_SEED = 20250809
 
 
 @dataclass(frozen=True)
@@ -63,14 +66,15 @@ def sample_compound(model: Clfrd, n: int, stream: SeededStream) -> np.ndarray:
 
     Per variate: N = 1 + Poisson(lam) shock counts, N unit exponentials
     mapped through the linear-failure-rate inverse, minimum over the N.
+    The inverse is increasing, so it maps only the minimum exponential of
+    each group: the same variates, with n maps instead of N summed.
     """
     n = _check_count(n)
     rng = stream.generator()
     counts = 1 + rng.poisson(model.lam, size=n)
     exps = rng.exponential(size=int(counts.sum()))
-    # map each exponential to a linear-failure-rate lifetime
-    root = model.alpha + np.sqrt(model.alpha**2 + 2.0 * model.beta * exps)
-    lifetimes = 2.0 * exps / root
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return np.minimum.reduceat(lifetimes, offsets)
+    e = np.minimum.reduceat(exps, offsets)
+    # the linear-failure-rate lifetime with cumulative hazard e
+    return 2.0 * e / (model.alpha + np.sqrt(model.alpha**2 + 2.0 * model.beta * e))
 

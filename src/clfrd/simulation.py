@@ -29,6 +29,11 @@ bound (``at_bound``); the JSON output lists both per cell.
 Replications are keyed by ``(cell seed, replication index)`` streams, so
 results are bit-identical for a given ``base_seed`` no matter how the
 work is scheduled.
+
+The default study runs the eight published triples,
+``distributions.DEFAULT_PARAMETER_SETS``, from ``sampling.DEFAULT_SEED``.
+Both live with the objects they parametrize rather than here, since this
+module imports ``estimation`` and so ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -41,16 +46,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Clfrd
+from .distributions import DEFAULT_PARAMETER_SETS, Clfrd
 from .estimation import LocalFits, fit_clfrd_block
 from .estimation import fit_clfrd  # noqa: F401  perfbench's tracer wraps it in this namespace
-from .sampling import SeededStream
+from .sampling import DEFAULT_SEED, SeededStream
 from .sampling import sample_inverse  # noqa: F401  perfbench's tracer wraps it in this namespace
 from scipy.special import ndtri
 
 __all__ = [
-    "DEFAULT_PARAMETER_SETS",
-    "DEFAULT_SEED",
     "StudyConfig",
     "ParamSummary",
     "SimulationSummary",
@@ -61,18 +64,6 @@ __all__ = [
     "study_to_json",
 ]
 
-DEFAULT_PARAMETER_SETS: tuple[Clfrd, ...] = (
-    Clfrd(2.0, 2.0, 2.0),
-    Clfrd(2.0, 2.0, 0.5),
-    Clfrd(2.0, 0.5, 2.0),
-    Clfrd(2.0, 0.5, 0.5),
-    Clfrd(0.5, 2.0, 2.0),
-    Clfrd(0.5, 2.0, 0.5),
-    Clfrd(0.5, 0.5, 2.0),
-    Clfrd(0.5, 0.5, 0.5),
-)
-
-DEFAULT_SEED = 20250809
 _DEGENERATE_FRACTION = 0.2
 
 _CSV_COLUMNS = (

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from clfrd.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from clfrd import estimation
+from clfrd.cli import EXIT_CONVERGENCE, EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +43,23 @@ class TestFit:
         code, out, _ = run_cli(capsys, "fit", "--data", "builtin:students", "--model", "ed")
         assert code == EXIT_OK
         assert "lambda" in out and "-2*loglik" in out
+
+    def test_non_convergence_exit_code(self, capsys, monkeypatch):
+        def stuck(*_):
+            raise estimation.NonConvergenceError("stuck on the ridge")
+
+        monkeypatch.setattr(estimation, "fit_model", stuck)
+        code, out, err = run_cli(capsys, "fit", "--data", "builtin:students")
+        assert code == EXIT_CONVERGENCE and out == ""
+        assert "fit did not converge: stuck on the ridge" in err
+
+    def test_other_runtime_error_propagates(self, capsys, monkeypatch):
+        def broken(*_):
+            raise RuntimeError("a fault, not a fit failure")
+
+        monkeypatch.setattr(estimation, "fit_model", broken)
+        with pytest.raises(RuntimeError, match="a fault"):
+            main(["fit", "--data", "builtin:students"])
 
 
 class TestCompare:
@@ -104,6 +122,17 @@ class TestPinnedFitOutput:
                                "--reps", "25", "--format", "json", "--no-meta")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == self.STUDY_PINNED
+
+    # compound-construction variates at the default seed: any change in the
+    # order of the draws or in how they are mapped changes these bytes
+    COMPOUND_SAMPLE_PINNED = "8441be142e01872463801e023cedbe675b89bed16b08a9062ccb2ae4572b3598"
+
+    def test_compound_sample_json_bytes(self, capsys, monkeypatch):
+        monkeypatch.delenv("CLFRD_SEED", raising=False)
+        code, out, _ = run_cli(capsys, "sample", "--alpha", "2", "--beta", "2", "--lambda", "2",
+                               "-n", "2000", "--method", "compound", "--format", "json", "--no-meta")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.COMPOUND_SAMPLE_PINNED
 
 
 class TestSimulate:

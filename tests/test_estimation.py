@@ -22,7 +22,9 @@ from clfrd import (
 )
 from clfrd import estimation
 from clfrd.estimation import _FAMILIES, _loglik, _neg_loglik_fd, fit_clfrd_block
-from clfrd.simulation import DEFAULT_PARAMETER_SETS, DEFAULT_SEED, _cell_seed, _fit_replications
+from clfrd.distributions import DEFAULT_PARAMETER_SETS
+from clfrd.sampling import DEFAULT_SEED
+from clfrd.simulation import _cell_seed, _fit_replications
 
 # published estimates for the three benchmark datasets
 PUBLISHED_CLFRD = {

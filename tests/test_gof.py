@@ -221,6 +221,17 @@ def test_distribution_and_samplers_load_no_scipy():
     assert _fresh_interpreter(code) == "[]"
 
 
+@pytest.mark.parametrize("code", [
+    "from clfrd import DEFAULT_PARAMETER_SETS, Clfrd",
+    "import clfrd.cli",
+    "import clfrd.cli; clfrd.cli.main(['sample', '--alpha', '2', '--beta', '2', '--lambda', '2', '-n', '5'])",
+], ids=["parameter_sets", "import_cli", "cli_sample"])
+def test_cold_start_loads_no_scipy(code):
+    # the published triples, the CLI and ``clfrd sample`` need numpy only
+    out = _fresh_interpreter(f"import sys; {code}; print([m for m in sys.modules if m.startswith('scipy')])")
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_star_import_binds_every_public_name():
     code = "import clfrd; from clfrd import *; print([n for n in clfrd.__all__ if n not in globals()])"
     assert _fresh_interpreter(code) == "[]"

@@ -7,7 +7,8 @@ from clfrd import (
     Clfrd, SeededStream, StudyConfig, run_cell, run_study, sample_inverse,
 )
 from clfrd.estimation import fit_clfrd_block
-from clfrd.simulation import DEFAULT_SEED, _cell_seed, study_rows, study_to_csv, study_to_json
+from clfrd.sampling import DEFAULT_SEED
+from clfrd.simulation import _cell_seed, study_rows, study_to_csv, study_to_json
 
 
 SMALL = Clfrd(0.5, 0.5, 0.5)
