@@ -20,13 +20,16 @@ study runs: a bounded L-BFGS-B search of the compounded model from a
 given start, the true parameters in the study, the standard design for
 studying the sampling behaviour of a local MLE on a ridged likelihood.
 Its gradient is L-BFGS-B's own forward difference, computed here in one
-numpy pass over the point and its three shifted copies.  One loop runs
-scipy's ``setulb`` for a whole ``(reps, n)`` block of samples in lockstep:
-each round steps every unfinished row to its next function request and
-answers them all in one pass.  Every row's iterates, iteration count and
-stop are those of ``minimize(method="L-BFGS-B")`` with scipy's finite
-differences on that sample alone, bit for bit.  An estimate pinned at the
-``1e-10`` lower bound is flagged in ``LocalFits.at_bound``.
+numpy pass over the point and its three shifted copies, from each
+sample's sum and sum of squares taken once per block.  One loop runs
+scipy's ``setulb`` for a whole ``(reps, n)`` block of samples in lockstep,
+with scipy's OpenBLAS held to one thread: each round steps every
+unfinished row to its next function request and answers them all at
+once, in row passes of about 8192 observations.  Every row's iterates,
+iteration count and stop are those of ``minimize(method="L-BFGS-B")``
+with scipy's finite differences on that sample alone, bit for bit.  An
+estimate pinned at the ``1e-10`` lower bound is flagged in
+``LocalFits.at_bound``.
 
 The public ``clfrd_loglik``/``clfrd_score``/``clfrd_observed_information``
 and ``fit_*`` functions are the only validation point: they check the
@@ -36,12 +39,17 @@ evaluate directly without re-validating.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 from scipy.optimize import minimize
 from scipy.optimize._lbfgsb import setulb
 from scipy.special import ndtri
@@ -82,6 +90,7 @@ _FD_FALLBACK = math.sqrt(np.finfo(float).eps)  # scipy's relative step when 1e-8
 # L-BFGS-B's default cap of 15000 evaluations, which counted each of the
 # four points of a finite-difference gradient; one call now covers all four
 _FD_MAXFUN = 15000 // 4
+_PASS_SIZE = 8192  # observations per _neg_loglik_fd pass of the lockstep fits
 # the rest of minimize(method="L-BFGS-B")'s defaults, as setulb takes them
 _LBFGSB_M = 10
 _LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps  # from its ftol
@@ -365,14 +374,27 @@ def _fit_multistart(name: str, x: np.ndarray, ci_level: float) -> FitResult:
     return fit
 
 
-def _neg_loglik_fd(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sample_sums(x: np.ndarray) -> np.ndarray:
+    # (..., 2): sum(x) and sum(x^2) of each sample, as _neg_loglik_fd takes them
+    return np.stack([x.sum(axis=-1), (x * x).sum(axis=-1)], axis=-1)
+
+
+# which of the four points (theta and its three forward points) shifts
+# which component, and the (alpha, beta) pair each point uses
+_SHIFTED = np.array([[False] * 3, [True, False, False], [False, True, False], [False, False, True]])
+_PAIR = np.array([0, 1, 2, 0])
+
+
+def _neg_loglik_fd(theta: np.ndarray, x: np.ndarray, sums=None) -> tuple[np.ndarray, np.ndarray]:
     """``-loglik`` at each theta and its forward-difference gradient, in one pass.
 
     ``theta`` is ``(..., 3)`` and ``x`` is ``(..., n)``: one sample per
     parameter row, broadcast against that row's four points (theta and its
-    three forward points) rather than repeated.  The step is exactly the
-    one L-BFGS-B takes itself (scipy's ``approx_derivative`` with absolute
-    step 1e-8): a step that vanishes against a component falls back to
+    three forward points) rather than repeated.  ``sums`` is
+    ``_sample_sums(x)``, which a caller evaluating the same samples at many
+    points computes once.  The step is exactly the one L-BFGS-B takes
+    itself (scipy's ``approx_derivative`` with absolute step 1e-8): a step
+    that vanishes against a component falls back to
     ``sqrt(eps) * max(1, |theta|)``, and each difference is divided by the
     step actually taken, ``(theta + h) - theta``.  The lam-shifted point
     shares theta's ``exp(-y)`` and ``log(alpha + beta x)``, so three of each
@@ -381,38 +403,53 @@ def _neg_loglik_fd(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nda
     finite differences bit for bit.  Points off the open positive orthant
     score ``+inf``.
     """
-    vanishes = theta + _FD_STEP - theta == 0.0
-    h = np.where(vanishes, _FD_FALLBACK * np.maximum(1.0, np.abs(theta)), _FD_STEP)
-    up = theta + h
-    a, b, lam = theta[..., :1], theta[..., 1:2], theta[..., 2:]
-    # (alpha, beta) of theta and of its alpha- and beta-shifted points; lam of all four
-    pa = np.concatenate([a, up[..., :1], a], axis=-1)
-    pb = np.concatenate([b, b, up[..., 1:2]], axis=-1)
-    pl = np.concatenate([lam, lam, lam, up[..., 2:]], axis=-1)
-    ok_ab = np.isfinite(pa) & (pa > 0.0) & np.isfinite(pb) & (pb > 0.0)
-    ok_lam = np.isfinite(pl) & (pl > 0.0)
-    valid = np.concatenate([ok_ab, ok_ab[..., :1]], axis=-1) & ok_lam
-    # off-orthant values are evaluated at 1 instead, which warns of nothing;
-    # their points score +inf below
-    pa, pb, pl = np.where(ok_ab, pa, 1.0), np.where(ok_ab, pb, 1.0), np.where(ok_lam, pl, 1.0)
+    if sums is None:
+        sums = _sample_sums(x)
+    sx, sxx = sums[..., :1], sums[..., 1:]
+    up = theta + _FD_STEP
+    step = up - theta
+    if not step.all():
+        up = np.where(step == 0.0, theta + _FD_FALLBACK * np.maximum(1.0, np.abs(theta)), up)
+        step = up - theta
+    p = np.where(_SHIFTED, up[..., None, :], theta[..., None, :])  # (..., 4, 3)
+    inside = (p > 0.0) & (p < math.inf)
+    everywhere = inside.all()
+    if not everywhere:
+        # off-orthant values are evaluated at 1 instead, which warns of
+        # nothing; their points score +inf below
+        p = np.where(inside, p, 1.0)
+    a, b, lam = p[..., 0], p[..., 1], p[..., 2]
     xs = x[..., None, :]
-    ac, bc = pa[..., None], pb[..., None]
+    ac, bc = a[..., :3, None], b[..., :3, None]
+    # (..., 3, n), one per pair.  Copying e_0 into a fourth slot saves numpy
+    # calls, but at 25 rows of 300 its larger temporaries made malloc trim
+    # and re-fault the heap every round: 16x the page faults and a slower study
     e = np.exp(-(ac * xs + 0.5 * bc * xs * xs))
-    log_lin = np.log(ac + bc * xs).sum(axis=-1)
-    log_mix = np.concatenate([np.log1p(pl[..., :3, None] * e).sum(axis=-1),
-                              np.log1p(pl[..., 3:] * e[..., 0, :]).sum(axis=-1, keepdims=True)],
-                             axis=-1)
-    pair = [0, 1, 2, 0]  # the (alpha, beta) each of the four points uses
     loglik = (
-        -x.shape[-1] * pl
-        - pa[..., pair] * x.sum(axis=-1, keepdims=True)
-        - 0.5 * pb[..., pair] * (x * x).sum(axis=-1, keepdims=True)
-        + pl * e.sum(axis=-1)[..., pair]
-        + log_lin[..., pair]
-        + log_mix
+        -x.shape[-1] * lam
+        - a * sx
+        - 0.5 * b * sxx
+        + lam * e.sum(axis=-1)[..., _PAIR]
+        + np.log(ac + bc * xs).sum(axis=-1)[..., _PAIR]
+        + np.concatenate([np.log1p(lam[..., :3, None] * e).sum(axis=-1),
+                          np.log1p(lam[..., 3:] * e[..., 0, :]).sum(axis=-1, keepdims=True)], axis=-1)
     )
-    f = np.where(valid, -loglik, math.inf)
-    return f[..., 0], (f[..., 1:] - f[..., :1]) / (up - theta)
+    f = -loglik if everywhere else np.where(inside.all(axis=-1), -loglik, math.inf)
+    return f[..., 0], (f[..., 1:] - f[..., :1]) / step
+
+
+def _neg_loglik_fd_passes(theta: np.ndarray, x: np.ndarray, sums: np.ndarray):
+    """``_neg_loglik_fd`` on the rows of a block, ``_PASS_SIZE`` observations or one row a pass.
+
+    A pass's ``(rows, 3, n)`` temporaries then stay in cache: one pass over
+    500 rows of 300 observations took 1.7-2.2 times as long as 19 passes.
+    """
+    rows = max(1, _PASS_SIZE // x.shape[1])
+    if len(x) <= rows:
+        return _neg_loglik_fd(theta, x, sums)
+    passes = [_neg_loglik_fd(theta[i:i + rows], x[i:i + rows], sums[i:i + rows])
+              for i in range(0, len(x), rows)]
+    return np.concatenate([f for f, _ in passes]), np.concatenate([g for _, g in passes])
 
 
 class LocalFits(NamedTuple):
@@ -421,6 +458,7 @@ class LocalFits(NamedTuple):
     theta: np.ndarray  # (reps, 3) final iterates
     nit: np.ndarray  # (reps,) iterations
     task: np.ndarray  # (reps, 2) scipy's final (status, reason) task codes
+    nfev: np.ndarray  # (reps,) evaluations of -loglik with its gradient
 
     @property
     def converged(self) -> np.ndarray:
@@ -435,6 +473,50 @@ class LocalFits(NamedTuple):
         return np.any(self.theta <= _LOCAL_LOWER, axis=1)
 
 
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` of the thread count of scipy's bundled OpenBLAS, or None.
+
+    scipy's wheels ship the library in ``scipy.libs`` (Linux, Windows) or
+    ``scipy/.dylibs`` (macOS); a scipy built against another BLAS has none.
+    """
+    package = Path(scipy.__file__).parent
+    for path in sorted([*package.parent.glob("scipy.libs/libscipy_openblas*"),
+                        *package.glob(".dylibs/libscipy_openblas*")]):
+        try:
+            library = ctypes.CDLL(str(path))
+            get = library.scipy_openblas_get_num_threads
+            set_ = library.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):  # not loadable, or without the symbols
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold scipy's OpenBLAS to one thread in the body, then restore its count.
+
+    ``setulb``'s BLAS calls are far too small to gain from threads, which
+    only burn a second core.  The count is read and set through
+    ``scipy_openblas_get/set_num_threads``, as threadpoolctl does; without
+    the library or those symbols this does nothing.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)
+
+
 def _lbfgsb_lockstep(samples: np.ndarray, start: np.ndarray) -> LocalFits:
     """Bounded L-BFGS-B from ``start`` on every row of a ``(reps, n)`` block.
 
@@ -443,18 +525,21 @@ def _lbfgsb_lockstep(samples: np.ndarray, start: np.ndarray) -> LocalFits:
     default ``factr`` and ``pgtol``, ``maxls=20``, the
     ``_LOCAL_MAX_ITERATIONS`` and ``_FD_MAXFUN`` caps.  Each round steps
     every active row to its next function request and answers all
-    requests with one ``_neg_loglik_fd`` pass; a request at the point last
+    requests with ``_neg_loglik_fd_passes``; a request at the point last
     evaluated reuses that value, as scipy's ``ScalarFunction`` does.  Each
     row's iterates, ``nit`` and stop are therefore those of ``minimize`` on
-    that sample alone, whatever else shares the block.
+    that sample alone, whatever else shares the block.  The rows' sums
+    are taken once, and the active rows' samples are gathered again only
+    when a row stops.
     """
     reps, dim = samples.shape[0], 3
+    sums = _sample_sums(samples)
     x = np.tile(np.maximum(start, _LOCAL_LOWER), (reps, 1))
     # scipy evaluates the start before the first step
-    f, g = _neg_loglik_fd(x, samples)
+    f, g = _neg_loglik_fd_passes(x, samples, sums)
     evaluated_at = x.tolist()
-    nit = np.zeros(reps, dtype=int)
-    nfev = np.ones(reps, dtype=int)
+    nit = [0] * reps
+    nfev = [1] * reps
     task = np.zeros((reps, 2), dtype=np.int32)
     workspace = list(zip(
         x, g, np.zeros((reps, 2 * _LBFGSB_M * dim + 5 * dim + 11 * _LBFGSB_M**2 + 8 * _LBFGSB_M)),
@@ -483,15 +568,23 @@ def _lbfgsb_lockstep(samples: np.ndarray, start: np.ndarray) -> LocalFits:
             else:
                 return False
 
-    active = range(reps)
-    while active:
-        active = [i for i in active if requests_new_point(i)]
-        if active:
-            f[active], g[active] = _neg_loglik_fd(x[active], samples[active])
-            nfev[active] += 1
-            for i, point in zip(active, x[active].tolist()):
-                evaluated_at[i] = point
-    return LocalFits(x, nit, task)
+    active, rows, block, block_sums = list(range(reps)), slice(None), samples, sums
+    while True:
+        requesting = [i for i in active if requests_new_point(i)]
+        if not requesting:
+            break
+        if requesting != active:
+            active = requesting
+            # consecutive rows, a lone straggler among them, index as a view
+            first, end = active[0], active[-1] + 1
+            rows = slice(first, end) if end - first == len(active) else np.array(active)
+            block, block_sums = samples[rows], sums[rows]
+        theta = x[rows]
+        f[rows], g[rows] = _neg_loglik_fd_passes(theta, block, block_sums)
+        for i, point in zip(active, theta.tolist()):
+            evaluated_at[i] = point
+            nfev[i] += 1
+    return LocalFits(x, np.array(nit), task, np.array(nfev))
 
 
 def fit_clfrd_block(samples, start) -> LocalFits:
@@ -502,7 +595,8 @@ def fit_clfrd_block(samples, start) -> LocalFits:
     validated once here.  Each row's result is what the same call on
     that row alone reports, bit for bit, and what scipy's
     ``minimize(method="L-BFGS-B")`` gives on that sample with bounds
-    ``[1e-10, inf)`` and at most 100 iterations.
+    ``[1e-10, inf)`` and at most 100 iterations.  scipy's OpenBLAS runs
+    on one thread during the fits and gets its thread count back after.
     """
     block = np.asarray(samples, dtype=float)
     if block.ndim != 2 or block.shape[1] < 4:
@@ -512,7 +606,8 @@ def fit_clfrd_block(samples, start) -> LocalFits:
     if theta0.shape != (3,) or not np.all(np.isfinite(theta0) & (theta0 > 0.0)):
         raise ValueError(f"fit_clfrd_block: start must be 3 finite, strictly positive values, "
                          f"got {start!r}")
-    return _lbfgsb_lockstep(block, theta0)
+    with _one_blas_thread():
+        return _lbfgsb_lockstep(block, theta0)
 
 
 def fit_clfrd(data, ci_level: float = 0.95) -> FitResult:

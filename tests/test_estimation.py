@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -261,6 +262,8 @@ class TestRawKernels:
             ref = reference_local_fit(x, start, 100)
             np.testing.assert_array_equal(fit.theta[0], ref.x, err_msg=str(case))
             assert fit.nit[0] == ref.nit, case
+            # scipy counts each of a gradient's four points as one evaluation
+            assert 4 * fit.nfev[0] == ref.nfev, case
             assert fit.converged[0] == (ref.status == 0), case
             assert fit.at_iteration_cap[0] == (ref.status == 1), case
 
@@ -355,6 +358,75 @@ class TestLockstepFits:
                 fit_clfrd_block(bad, (2.0, 2.0, 2.0))
         with pytest.raises(ValueError, match="start"):
             fit_clfrd_block(x, None)
+
+    def test_passes_equal_one_pass(self):
+        # 60 samples of 300 take three passes of at most 8192 observations
+        x = np.vstack([cell_sample(1, 300, r) for r in range(60)])
+        theta = np.exp(np.random.default_rng(5).uniform(-2.0, 2.0, (60, 3)))
+        f, grad = estimation._neg_loglik_fd_passes(theta, x, estimation._sample_sums(x))
+        one_f, one_grad = _neg_loglik_fd(theta, x)
+        np.testing.assert_array_equal(f, one_f)
+        np.testing.assert_array_equal(grad, one_grad)
+
+
+class TestOneBlasThread:
+    # fit_clfrd_block holds scipy's OpenBLAS to one thread, then restores it
+
+    @staticmethod
+    def _fit():
+        return fit_clfrd_block(cell_sample(1, 100, 0)[None], (2.0, 2.0, 2.0))
+
+    def test_fits_run_on_one_thread_and_restore_the_count(self, monkeypatch):
+        threads = estimation._openblas_threads()
+        if threads is None:
+            pytest.skip("scipy without its bundled OpenBLAS")
+        get, set_ = threads
+        seen = []  # the count at each kernel call
+        kernel = estimation._neg_loglik_fd
+
+        def recording(*args):
+            seen.append(get())
+            return kernel(*args)
+
+        monkeypatch.setattr(estimation, "_neg_loglik_fd", recording)
+        before = get()
+        set_(2)
+        try:
+            self._fit()
+            assert get() == 2
+        finally:
+            set_(before)
+        assert seen and set(seen) == {1}
+
+    def test_count_is_restored_when_the_body_raises(self, monkeypatch):
+        count = [4]
+
+        def set_count(threads):
+            count[0] = threads
+
+        monkeypatch.setattr(estimation, "_openblas_threads", lambda: (lambda: count[0], set_count))
+        with pytest.raises(ZeroDivisionError):
+            with estimation._one_blas_thread():
+                assert count == [1]
+                1 / 0
+        assert count == [4]
+
+    @pytest.mark.parametrize("library", [None, object()], ids=["no library", "no symbol"])
+    def test_missing_library_or_symbol_is_a_no_op(self, monkeypatch, library):
+        def load(path):
+            if library is None:
+                raise OSError(f"cannot load {path}")
+            return library
+
+        expected = self._fit()
+        monkeypatch.setattr(estimation.ctypes, "CDLL", load)
+        # a fresh cache, so the lookup runs again against the patched loader
+        monkeypatch.setattr(estimation, "_openblas_threads",
+                            functools.cache(estimation._openblas_threads.__wrapped__))
+        assert estimation._openblas_threads() is None
+        fits = self._fit()
+        assert_same_fits(fits, [0], expected, [0])
+        assert fits.nfev[0] == expected.nfev[0]
 
 
 class TestFitOptions:
