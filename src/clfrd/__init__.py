@@ -23,8 +23,7 @@ _EXPORTS = {
     "gof": ("GofReport", "ks_test", "ad_stat", "cm_stat", "aic", "compare_models"),
     "properties": ("PdfShape", "HazardShape", "pdf_shape", "hazard_shape", "mrl", "mit",
                    "raw_moment", "median", "order_stat_pdf", "lr_monotone_check",
-                   "SeriesTruncation", "SeriesResult", "mrl_series", "mit_series",
-                   "raw_moment_series"),
+                   "SeriesResult", "mrl_series", "mit_series"),
     "sampling": ("SeededStream", "sample_inverse", "sample_compound"),
     "simulation": ("StudyConfig", "SimulationSummary", "run_cell", "run_study"),
     "datasets": ("Dataset", "builtin", "load_csv", "load_json"),

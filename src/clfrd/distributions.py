@@ -172,7 +172,7 @@ class Clfrd(LifetimeModel):
     def log_sf(self, x):
         x = _as_domain_array(x)
         y = self._cumulative_hazard_base(x)
-        return -y - self.lam + self.lam * np.exp(-y)
+        return -y + self.lam * np.expm1(-y)
 
     def log_pdf(self, x):
         # stable for large x: every exponential argument is nonpositive

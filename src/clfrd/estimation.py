@@ -54,15 +54,7 @@ from scipy.optimize import minimize
 from scipy.optimize._lbfgsb import setulb
 from scipy.special import ndtri
 
-from .distributions import (
-    Clfrd,
-    Exponential,
-    GeneralizedExponential,
-    LifetimeModel,
-    LinearFailureRate,
-    MODEL_REGISTRY,
-    Rayleigh,
-)
+from .distributions import Clfrd, LifetimeModel, MODEL_REGISTRY
 
 __all__ = [
     "FitResult",
@@ -213,11 +205,20 @@ def _default_starts(x: np.ndarray) -> list[tuple[float, float, float]]:
 
 
 # ---------------------------------------------------------------------------
-# baseline kernels and the per-family table read by the fitting driver
+# baseline kernels and the per-family table read by the fitting driver; each
+# loglik keeps the expression order of its class's log_pdf, so a fit is the
+# one through the public method bit for bit
 
 
-def _log_pdf_sum(family: type[LifetimeModel]):
-    return lambda theta, x: float(np.sum(family(*theta).log_pdf(x)))
+def _lfr_loglik(theta: np.ndarray, x: np.ndarray) -> float:
+    a, b = theta
+    return float(np.sum(np.log(a + b * x) - a * x - 0.5 * b * x * x))
+
+
+def _ged_loglik(theta: np.ndarray, x: np.ndarray) -> float:
+    r, s = theta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.sum(math.log(s * r) - r * x + (s - 1.0) * np.log(-np.expm1(-r * x))))
 
 
 def _lfr_score(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -260,21 +261,21 @@ _Family = namedtuple("_Family", "loglik score information starts")
 # closed-form estimates, where the gradient gate already holds.
 _FAMILIES = {
     "clfrd": _Family(_loglik, _score, _information, _default_starts),
-    "lfrd": _Family(_log_pdf_sum(LinearFailureRate), _lfr_score, _lfr_information, _hazard_starts),
+    "lfrd": _Family(_lfr_loglik, _lfr_score, _lfr_information, _hazard_starts),
     "rd": _Family(
-        _log_pdf_sum(Rayleigh),
+        lambda t, x: float(np.sum(np.log(x) - 2.0 * math.log(t[0]) - x * x / (2.0 * t[0] * t[0]))),
         lambda t, x: np.array([(x * x).sum() / t[0] ** 3 - 2.0 * x.size / t[0]]),
         lambda t, x: np.array([[3.0 * (x * x).sum() / t[0] ** 4 - 2.0 * x.size / t[0] ** 2]]),
         lambda x: [(math.sqrt(float((x * x).sum()) / (2.0 * x.size)),)],
     ),
     "ed": _Family(
-        _log_pdf_sum(Exponential),
+        lambda t, x: float(np.sum(math.log(t[0]) - t[0] * x)),
         lambda t, x: np.array([x.size / t[0] - x.sum()]),
         lambda t, x: np.array([[x.size / t[0] ** 2]]),
         lambda x: [(x.size / float(x.sum()),)],
     ),
     "ged": _Family(
-        _log_pdf_sum(GeneralizedExponential), _ged_score, _ged_information,
+        _ged_loglik, _ged_score, _ged_information,
         lambda x: [(1.0 / float(x.mean()), s0) for s0 in (0.5, 1.0, 2.5)],
     ),
 }

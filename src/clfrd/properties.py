@@ -9,29 +9,27 @@ public functions check their arguments once; ``quad`` then integrates
 plain-float copies of the model's survival function and density, not the
 validating public methods.
 
-The triple-series rewrites are provided as cross-checks only: their
-k-expansion integrates a Gaussian-tail factor term by term over an
-infinite range, so the k-sums for the mean residual life and the raw
-moments have zero radius of convergence.  Those series are summed to the
-smallest term (asymptotic truncation) and always report a truncation-error
-estimate plus a convergence flag; they never silently return a value
-whose tail test failed.  The mean inactivity time series integrates over a
-finite range and genuinely converges.  The (shift, j) loop runs in Python;
-each j block is one numpy (i, k) array, summed over k row by row with the
-same stopping rules as a term-by-term loop.  The log-gamma and regularized
-incomplete gamma factors are ``scipy.special.gammaln``, ``gammainc`` and
-``gammaincc``; the median is the quantile's Newton solve at one half.
+The two series are cross-checks of ``mrl`` and ``mit`` that share no
+code with them.  The law is a Poisson mixture of linear-failure-rate
+laws: the minimum of k = 1 + j LFR(alpha, beta) lifetimes, j ~
+Poisson(lam), is LFR(k alpha, k beta), and each of those has a closed-form
+tail integral (``scipy.special.erfcx``).  The series are the one-index
+Poisson sums of those terms, with a rigorous bound on the left-out
+Poisson mass.  The paper's own MRL and moment rewrites, a k-expansion of
+the Gaussian-tail factor integrated term by term over an infinite range,
+diverge for every parameter value and are not implemented.  The median is
+the quantile's Newton solve at one half.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import erfcx
 from scipy.special import (  # named so: perfbench's tracer wraps them in this namespace
     gammainc as regularized_gamma_p,
     gammaincc as regularized_gamma_q,
@@ -52,11 +50,9 @@ __all__ = [
     "median",
     "order_stat_pdf",
     "lr_monotone_check",
-    "SeriesTruncation",
     "SeriesResult",
     "mrl_series",
     "mit_series",
-    "raw_moment_series",
 ]
 
 
@@ -140,7 +136,7 @@ def _integrands(model: Clfrd):
 
     def log_sf(t):
         y = a * t + 0.5 * b * t * t
-        return -y - lam + lam * math.exp(-y)
+        return -y + lam * math.expm1(-y)
 
     def pdf(t):
         y = a * t + 0.5 * b * t * t
@@ -226,24 +222,7 @@ def lr_monotone_check(model_small: Clfrd, model_large: Clfrd, grid) -> bool:
     return bool(np.all(np.diff(diff) >= -1e-12))
 
 
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Index caps and tail tolerance for the triple-series cross-checks.
-
-    The i index never exceeds j (the binomial coefficient vanishes there),
-    so ``max_i`` only matters when below ``max_j``.
-    """
-
-    max_i: int = 40
-    max_j: int = 40
-    max_k: int = 40
-    tail_tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if min(self.max_i, self.max_j, self.max_k) < 0:
-            raise ValueError("SeriesTruncation: index caps must be nonnegative")
-        if not self.tail_tolerance > 0:
-            raise ValueError("SeriesTruncation: tail_tolerance must be positive")
+_EPS = np.finfo(float).eps
 
 
 class SeriesResult(NamedTuple):
@@ -252,171 +231,84 @@ class SeriesResult(NamedTuple):
     tail_estimate: float
 
 
-def _k_sums(terms: np.ndarray, tol: float, allow_growth: bool):
-    """Row-wise k accumulation of an (i, k) term array.
+def _poisson(lam: float, y: float):
+    """Poisson weights of mean ``lam e^(-y)`` on the counts j within
+    ``12 sqrt(mean) + 40`` of the mean, bounds on their relative rounding,
+    and the Poisson mass outside that window.
 
-    A row stops after its first term below ``tol * |running total|``;
-    without ``allow_growth`` it stops sooner, before its first term that is
-    not smaller than the one before (the smallest term: asymptotic
-    truncation for the divergent expansions).  Returns per row the total,
-    the truncation-error estimate (the term a growth stop leaves out, 0
-    after the tail test, the last term if finite when neither stop was
-    met), whether the tail test was met, and the index of the last term
-    reached.
+    A weight is ``exp(j (log lam - y) - mean - ln_gamma(j + 1))``; its
+    rounding grows with the size of those terms, about ``eps * lam log lam``
+    at the mode, so results at very large lam come back flagged.
     """
-    n, width = terms.shape
-    mag = np.abs(terms)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # running[:, k] is the total before term k, summed from +0.0 in k order
-        running = np.cumsum(np.concatenate([np.zeros((n, 1)), terms], axis=1), axis=1)
-        small = mag < tol * np.maximum(np.abs(running[:, 1:]), 1e-300)
-    if allow_growth:
-        grew = np.zeros_like(small)
-    else:
-        grew = mag >= np.concatenate([np.full((n, 1), np.inf), mag[:, :-1]], axis=1)
-    stop = small | grew
-    hit = stop.any(axis=1)
-    last = np.where(hit, stop.argmax(axis=1), width - 1)
-    rows = np.arange(n)
-    grew = grew[rows, last]
-    ok = hit & ~grew
-    tail = mag[rows, last]
-    tail = np.where(ok | (~hit & ~np.isfinite(tail)), 0.0, tail)
-    return running[rows, last + 1 - grew], tail, ok, last
+    mean = lam * math.exp(-y)
+    half = 12.0 * math.sqrt(mean) + 40.0
+    lo, hi = max(math.ceil(mean - half), 0), math.floor(mean + half)
+    j = np.arange(lo, hi + 1.0)
+    log_factorial = ln_gamma(j + 1.0)
+    p = np.exp(j * (math.log(lam) - y) - mean - log_factorial)
+    rounding = 4.0 * _EPS * (1.0 + j * (abs(math.log(lam)) + y) + mean + log_factorial)
+    outside = float(regularized_gamma_p(hi + 1.0, mean))
+    if lo > 0:
+        outside += float(regularized_gamma_q(lo, mean))
+    return j, p, rounding, outside
 
 
-def _log_gamma_integrals(s, c, x: float, upper: bool):
-    """Log of the integral of t^(s-1) e^(-c t) over [x, inf) (upper) or [0, x].
+def _lfr_mrl(model: Clfrd, k, x: float):
+    """Mean residual life at x of LFR(k alpha, k beta), the minimum of k LFR lifetimes.
 
-    Also the log of a bound on its error: a regularized factor below the
-    smallest normal float, ``tiny``, may be off by up to ``tiny`` (-inf elsewhere).
+    Its tail integral is ``e^(-k y)`` times this, y = alpha x + beta x^2 / 2.
     """
-    reg = regularized_gamma_q(s, c * x) if upper else regularized_gamma_p(s, c * x)
-    log_gamma, log_c, tiny = ln_gamma(s), np.log(c), np.finfo(float).tiny
-    with np.errstate(divide="ignore"):
-        log_integral = log_gamma + np.log(reg) - s * log_c
-    return log_integral, np.where(reg < tiny, log_gamma + math.log(tiny) - s * log_c, -np.inf)
+    a, b = model.alpha, model.beta
+    return np.sqrt(math.pi / (2.0 * b * k)) * erfcx(np.sqrt(k / (2.0 * b)) * (a + b * x))
 
 
-def _sum_series(model: Clfrd, trunc: SeriesTruncation, x: float, upper: bool, parts,
-                allow_growth: bool) -> tuple[float, float, bool]:
-    """Triple sum over (shift, j, i, k) shared by the three series.
+def mrl_series(model: Clfrd, x) -> SeriesResult:
+    """Mean residual life as the Poisson mixture of LFR laws, a cross-check of ``mrl``.
 
-    The (i, k) term is ``sign * binom(j, i) lam^j / j! * beta^k (i+shift)^k
-    / (2^k k!)`` times the sum over ``parts`` of ``coeff`` times the
-    integral of ``t^(s-1) e^(-(i+shift) alpha t)`` over [x, inf) (upper)
-    or [0, x], where each part is ``(coeff, s0)`` with ``s = 2k + s0``.  The
-    gamma integrals of a shift are computed once for all its rows; each j
-    block is then one (i, k) array, summed over k row by row with
-    ``_k_sums``.  Blocks stop after two in a row below the tail tolerance.
-    The flag also needs a bound on what gamma factors that underflowed left
-    out of the reached terms to stay within the tolerance of the total.
-    """
-    a, b, lam = model.alpha, model.beta, model.lam
-    tol = trunc.tail_tolerance
-    k = np.arange(trunc.max_k + 1)
-    log_fact = ln_gamma(np.arange(1.0, max(trunc.max_j, trunc.max_k) + 2.0))  # log n!
-    ksign = np.where(k % 2, -1.0, 1.0)
-    s = np.arange(1.0, 2.0 * trunc.max_k + max(s0 for _, s0 in parts) + 1.0)
-    parts = [(coeff, s0) for coeff, s0 in parts if coeff != 0.0]
-    total = 0.0
-    tail = 0.0
-    underflow_error = 0.0  # bound on what underflowed gamma factors left out
-    k_ok = True
-    j_ok = True
-    for shift, outer in ((1, 1.0), (2, lam)):
-        si = np.arange(min(trunc.max_j, trunc.max_i) + 1.0) + shift
-        # log | beta^k (i+shift)^k / (2^k k!) |
-        log_kw = k * (math.log(b) - math.log(2.0) + np.log(si))[:, None] - log_fact[k]
-        integrals, errors = _log_gamma_integrals(s, si[:, None] * a, x, upper)
-        log_parts = [(coeff, log_kw + integrals[:, s0 - 1:s0 + 2 * trunc.max_k:2]) for coeff, s0 in parts]
-        log_errors = [(abs(coeff), log_kw + errors[:, s0 - 1:s0 + 2 * trunc.max_k:2]) for coeff, s0 in parts]
-        any_error = bool(np.any(errors > -np.inf))
-        small_blocks = 0
-        for j in range(trunc.max_j + 1):
-            n = min(j, trunc.max_i) + 1
-            i = np.arange(n)
-            # log |binom(j, i) lam^j / j!|
-            log_coef = (log_fact[j] - log_fact[i] - log_fact[j - i] + j * math.log(lam) - log_fact[j])[:, None]
-            with np.errstate(over="ignore", invalid="ignore"):
-                terms = sum(coeff * np.exp(log_coef + log_part[:n]) for coeff, log_part in log_parts)
-            terms = (np.where((i + j) % 2, -1.0, 1.0)[:, None] * ksign) * terms
-            part, part_tail, part_ok, last = _k_sums(terms, tol, allow_growth)
-            reached = k <= last[:, None]
-            if not np.all(np.isfinite(terms[reached])):
-                raise OverflowError("series term overflows float64")
-            block = float((outer * part).sum())
-            tail = max(tail, float((outer * part_tail).max()))
-            k_ok = k_ok and bool(part_ok.all())
-            if any_error:
-                with np.errstate(over="ignore"):
-                    error = sum(coeff * np.exp(log_coef + log_error[:n]) for coeff, log_error in log_errors)
-                underflow_error += float(outer * error[reached].sum())
-            total += block
-            scale = max(abs(total), 1e-300)
-            if abs(block) < tol * scale:
-                small_blocks += 1
-                if small_blocks >= 2:
-                    break
-            else:
-                small_blocks = 0
-        else:
-            j_ok = False
-    converged = k_ok and j_ok and max(tail, underflow_error) <= tol * max(abs(total), 1e-300)
-    return total, tail, converged
-
-
-def mrl_series(model: Clfrd, x, trunc: SeriesTruncation | None = None) -> SeriesResult:
-    """Triple-series rewrite of the mean residual life, as a cross-check.
-
-    The k-expansion of the quadratic exponential factor is summed to its
-    smallest term: integrated over an infinite range it diverges for every
-    parameter value, so only an asymptotic estimate exists.  The result
-    carries that truncation-error estimate; ``converged`` reports whether
-    the requested tail tolerance was actually met (for this series,
-    normally not).  The gamma factors are upper incomplete, evaluated at
-    ``(i + shift) * alpha * x``, and the coefficient on the middle term is
-    ``alpha - beta x``; both reduce to the complete-gamma form at x = 0.
+    The law is the minimum of k = 1 + j LFR(alpha, beta) lifetimes with
+    j ~ Poisson(lam).  Given survival to x, j is Poisson with mean
+    ``lam e^(-y)``: the weights ``p_j e^(-k y) / sf(x)``, combined in log
+    space.  The mean residual life is that mixture of the LFR(k alpha,
+    k beta) mean residual lives, so ``mrl_series(model, 0)`` is the mean.
+    The tail estimate bounds the terms left out (the Poisson mass outside
+    the window times the k = 1 term, the largest) plus the weights'
+    rounding.
     """
     x = float(x)
     if x < 0:
         raise ValueError("mrl_series: x must be nonnegative")
-    trunc = trunc or SeriesTruncation()
-    a, b = model.alpha, model.beta
-    parts = ((a - b * x, 2), (b, 3), (-a * x, 1))
-    total, tail, converged = _sum_series(model, trunc, x, True, parts, allow_growth=False)
-    s = model.sf(x)
-    return SeriesResult(total / s, converged, tail / s)
+    y = model.alpha * x + 0.5 * model.beta * x * x
+    j, p, rounding, outside = _poisson(model.lam, y)
+    terms = p * _lfr_mrl(model, j + 1.0, x)
+    value = float(terms.sum())
+    tail = outside * float(_lfr_mrl(model, 1.0, x)) + float(terms @ rounding)
+    return SeriesResult(value, tail <= 1e-10 * value, tail)
 
 
-def mit_series(model: Clfrd, x, trunc: SeriesTruncation | None = None) -> SeriesResult:
-    """Triple-series rewrite of the mean inactivity time (convergent).
+def mit_series(model: Clfrd, x) -> SeriesResult:
+    """Mean inactivity time as the Poisson mixture of LFR laws, a cross-check of ``mit``.
 
-    Lower incomplete gamma factors over the finite range [0, x]; the
-    k-terms decay factorially, so the series genuinely converges and the
-    flag reflects the tail test at the requested tolerance.
+    ``(x - sum of p_j (T_k(0) - T_k(x))) / cdf(x)``, with T_k the tail
+    integral of the minimum of k = 1 + j LFR lifetimes.  The weights sum
+    to one, so the numerator is summed as ``sum of p_j (x - T_k(0) +
+    T_k(x))``, and their rounding scales these nonnegative component
+    terms, not a difference.  The terms left out add at most the Poisson
+    mass outside the window times x.  A component's complement cancels
+    when cdf(x) is small, so the tail estimate adds its rounding, with a
+    margin over the few ulps of erfcx, exp and sqrt in each term: a
+    cancelled result is flagged, not returned as converged.
     """
     x = float(x)
     if x <= 0:
         raise ValueError("mit_series: x must be positive")
-    trunc = trunc or SeriesTruncation()
-    parts = ((model.alpha, 2), (model.beta, 3))
-    total, tail, converged = _sum_series(model, trunc, x, False, parts, allow_growth=True)
+    y = model.alpha * x + 0.5 * model.beta * x * x
+    j, p, rounding, outside = _poisson(model.lam, 0.0)
+    k = j + 1.0
+    t0 = _lfr_mrl(model, k, 0.0)
+    tx = np.exp(-k * y) * _lfr_mrl(model, k, x)
+    inactive = x - t0 + tx
     c = model.cdf(x)
-    return SeriesResult(x - total / c, converged, tail / c)
-
-
-def raw_moment_series(model: Clfrd, r: int, trunc: SeriesTruncation | None = None) -> SeriesResult:
-    """Triple-series rewrite of the r-th raw moment, as a cross-check.
-
-    Same divergent k-expansion as the mean residual life series (infinite
-    integration range, here from 0: complete gamma factors); summed to the
-    smallest term with an error estimate.
-    """
-    if int(r) != r or r < 1:
-        raise ValueError("raw_moment_series: r must be a positive integer")
-    r = int(r)
-    trunc = trunc or SeriesTruncation()
-    parts = ((model.alpha, r + 1), (model.beta, r + 2))
-    total, tail, converged = _sum_series(model, trunc, 0.0, True, parts, allow_growth=False)
-    return SeriesResult(total, converged, tail)
+    value = float(p @ inactive) / c
+    error = np.abs(inactive) * rounding + 16.0 * _EPS * (x + t0 + tx)
+    tail = (outside * x + float(p @ error)) / c
+    return SeriesResult(value, tail <= 1e-10 * value, tail)

@@ -64,17 +64,15 @@ def sample_inverse(model: LifetimeModel, n: int, stream: SeededStream) -> np.nda
 def sample_compound(model: Clfrd, n: int, stream: SeededStream) -> np.ndarray:
     """Draw n variates through the compound minimum construction.
 
-    Per variate: N = 1 + Poisson(lam) shock counts, N unit exponentials
-    mapped through the linear-failure-rate inverse, minimum over the N.
-    The inverse is increasing, so it maps only the minimum exponential of
-    each group: the same variates, with n maps instead of N summed.
+    Per variate: N = 1 + Poisson(lam) shock counts, and the minimum of N
+    unit exponentials mapped through the linear-failure-rate inverse.  The
+    inverse is increasing and the minimum of N unit exponentials is a unit
+    exponential divided by N, so each variate maps one exponential over its
+    count: n draws of each kind at any lam.
     """
     n = _check_count(n)
     rng = stream.generator()
     counts = 1 + rng.poisson(model.lam, size=n)
-    exps = rng.exponential(size=int(counts.sum()))
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    e = np.minimum.reduceat(exps, offsets)
+    e = rng.exponential(size=n) / counts
     # the linear-failure-rate lifetime with cumulative hazard e
     return 2.0 * e / (model.alpha + np.sqrt(model.alpha**2 + 2.0 * model.beta * e))
-

@@ -59,6 +59,21 @@ class TestClfrdCdf:
         m = Clfrd(2, 2, 2)
         assert m.cdf(m.quantile(0.3)) == pytest.approx(0.3, abs=1e-10)
 
+    @pytest.mark.parametrize("params", [(1e-4, 1.0, 1.0), (2.0, 2.0, 2.0)])
+    def test_lower_tail_against_mpmath(self, params):
+        # log sf = -y + lam expm1(-y) does not cancel as y -> 0
+        mpmath = pytest.importorskip("mpmath")
+        m = Clfrd(*params)
+        x = np.geomspace(1e-12, 1e-6, 13)
+        with mpmath.workdps(50):
+            a, b, lam = (mpmath.mpf(v) for v in params)
+            want = []
+            for t in x:
+                y = a * mpmath.mpf(t) + b * mpmath.mpf(t) ** 2 / 2
+                want.append(-y + lam * mpmath.expm1(-y))
+        np.testing.assert_allclose(m.log_sf(x), [float(w) for w in want], rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(m.cdf(x), [float(-mpmath.expm1(w)) for w in want], rtol=1e-14, atol=0.0)
+
 
 class TestClfrdPdf:
     @pytest.mark.parametrize(

@@ -234,6 +234,14 @@ class TestRawKernels:
             assert _loglik(t, x) == reference_loglik(t, x)
             assert _loglik(t, x) == clfrd_loglik(Clfrd(*t), x)
 
+    @pytest.mark.parametrize("name", ["lfrd", "rd", "ed", "ged"])
+    def test_baseline_loglik_is_the_log_pdf_sum_bit_for_bit(self, name, students, devices):
+        rng = np.random.default_rng(len(name))
+        family = MODEL_REGISTRY[name]
+        for x in (students, devices, sample_inverse(Clfrd(2.0, 2.0, 2.0), 1000, SeededStream(33))):
+            for theta in np.exp(rng.uniform(-20.0, 20.0, (20, family.param_count))):
+                assert _FAMILIES[name].loglik(theta, x) == float(np.sum(family(*theta).log_pdf(x)))
+
     def test_fd_objective_matches_scipy_forward_difference(self):
         # log-uniform over e^-20..e^25: components past 2^27 make 1e-8
         # vanish against them and take scipy's relative fallback step

@@ -68,6 +68,15 @@ class TestInverseSampler:
         assert np.all(np.isfinite(a)) and np.all(a >= 0.0)
         assert ks_2samp(a, b).pvalue > 0.01
 
+    def test_compound_matches_inverse_at_huge_lam(self):
+        # one exponential per variate, over its count: draws stay linear in
+        # n where 1 + Poisson(lam) exponentials per variate would be 1e9
+        m = Clfrd(1.0, 1.0, 1e5)
+        a = sample_inverse(m, 10**4, SeededStream(15))
+        b = sample_compound(m, 10**4, SeededStream(16))
+        assert np.all(np.isfinite(b)) and np.all(b >= 0.0)
+        assert ks_2samp(a, b).pvalue > 0.01
+
 
 class TestCompoundSampler:
     def test_lfr_limit(self):

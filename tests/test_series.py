@@ -1,34 +1,20 @@
-"""Cross-checks of the triple-series rewrites against quadrature.
+"""Cross-checks of the Poisson-mixture series against quadrature and mpmath.
 
-The inactivity-time series converges (finite integration range) and must
-match quadrature essentially to machine precision.  The residual-life and
-moment series arise from integrating a quadratic-exponential expansion
-term by term over an infinite range: the k-sums diverge for every
-parameter value, so these are asymptotic expansions.  Where the smallest
-term is tiny (hazard slope much smaller than the squared hazard level)
-they are excellent; elsewhere they must flag non-convergence rather than
-return a silently wrong value.
+The law is the minimum of k = 1 + j LFR(alpha, beta) lifetimes with
+j ~ Poisson(lam), so both series are one-index Poisson sums of closed-form
+LFR tail integrals.  Each must match ``mrl``/``mit`` (adaptive quadrature)
+and mpmath to near machine precision wherever it reports convergence, and
+flag a result whose truncation or rounding bound misses 1e-10 relative.
 """
 
 import math
 
-import numpy as np
+import mpmath
 import pytest
-from scipy.special import gammainc, gammaincc
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from clfrd import (
-    Clfrd,
-    LinearFailureRate,
-    SeriesResult,
-    SeriesTruncation,
-    mit,
-    mit_series,
-    mrl,
-    mrl_series,
-    raw_moment,
-    raw_moment_series,
-)
-from clfrd.properties import _k_sums
+from clfrd import Clfrd, LinearFailureRate, mit, mit_series, mrl, mrl_series, raw_moment
 from scipy.integrate import quad
 
 from conftest import PARAMETER_SETS
@@ -48,32 +34,27 @@ def test_mit_series_matches_quadrature(params):
     assert result.value == pytest.approx(mit(m, 0.5), abs=1e-10)
 
 
-def test_mit_series_larger_age_with_wider_caps():
-    # the k horizon grows with beta x^2; a larger cap restores convergence
+def test_mit_series_larger_age():
     m = Clfrd(2.0, 2.0, 2.0)
-    result = mit_series(m, 2.0, SeriesTruncation(max_k=300))
+    result = mit_series(m, 2.0)
     assert result.converged
     assert result.value == pytest.approx(mit(m, 2.0), abs=1e-9)
 
 
 _MIT_FLAG_CASES = [
-    pytest.param(params, x, None, id=f"{x}-params{i}")
+    pytest.param(params, x, id=f"{x}-params{i}")
     for x in (1.0, 2.0)
     for i, params in enumerate([(0.5, 0.5, 0.5), (2.0, 2.0, 2.0), (0.5, 2.0, 2.0)])
 ] + [
-    # tiny alpha: the lower incomplete gamma factors of large s underflow
-    # to 0 while the integrals they scale are large
-    pytest.param((1e-4, 1.0, 1.0), 3.0, SeriesTruncation(max_k=300), id="3.0-alpha1e-4-max_k300"),
-    pytest.param((1e-8, 1.0, 1.0), 8.0, None, id="8.0-alpha1e-8"),
+    pytest.param((1e-4, 1.0, 1.0), 3.0, id="3.0-alpha1e-4"),
+    pytest.param((1e-8, 1.0, 1.0), 8.0, id="8.0-alpha1e-8"),
 ]
 
 
-@pytest.mark.parametrize("params, x, trunc", _MIT_FLAG_CASES)
-def test_mit_series_accurate_whenever_flagged_converged(params, x, trunc):
-    # float64 cancellation and underflow can make wide-age sums infeasible;
-    # the flag must then be down, and an up flag must guarantee accuracy
+@pytest.mark.parametrize("params, x", _MIT_FLAG_CASES)
+def test_mit_series_accurate_whenever_flagged_converged(params, x):
     m = Clfrd(*params)
-    result = mit_series(m, x, trunc)
+    result = mit_series(m, x)
     if result.converged:
         assert result.value == pytest.approx(mit(m, x), abs=1e-9)
 
@@ -83,9 +64,25 @@ def test_mit_series_domain():
         mit_series(Clfrd(2, 2, 2), 0.0)
 
 
+@pytest.mark.parametrize("x", [1e-6, 1e-5])
+def test_mit_series_flags_the_cancelled_complement(x):
+    # x - T_k(0) + T_k(x) cancels to about cdf(x) x / 2 at small ages
+    result = mit_series(Clfrd(0.5, 0.5, 0.5), x)
+    assert not result.converged
+    assert result.tail_estimate > 1e-10 * result.value
+
+
+@pytest.mark.parametrize("lam", [1e5, 1e8])
+def test_series_flag_the_rounding_of_large_poisson_weights(lam):
+    # each log weight rounds by about eps lam log lam; the window of counts
+    # around lam keeps the sums to ~24 sqrt(lam) terms
+    m = Clfrd(1.0, 1.0, lam)
+    for result in (mrl_series(m, 0.5), mit_series(m, 0.5)):
+        assert math.isfinite(result.value) and not result.converged
+
+
 class TestMrlSeries:
     def test_accurate_when_slope_is_small(self):
-        # beta << alpha^2 keeps the smallest term tiny
         m = Clfrd(2.0, 0.05, 0.3)
         result = mrl_series(m, 0.5)
         assert result.value == pytest.approx(mrl(m, 0.5), abs=max(1e-8, 3 * result.tail_estimate))
@@ -99,238 +96,108 @@ class TestMrlSeries:
         result = mrl_series(m, x)
         assert result.value == pytest.approx(lfr_mrl, abs=max(1e-8, 3 * result.tail_estimate))
 
-    def test_divergence_guard_small_caps(self):
-        # either the value is right or the flag is down, never a silent miss
-        m = Clfrd(2.0, 2.0, 2.0)
-        result = mrl_series(m, 0.5, SeriesTruncation(max_i=5, max_j=5, max_k=5))
-        assert (not result.converged) or result.value == pytest.approx(mrl(m, 0.5), abs=1e-4)
-
-    def test_flags_divergence_at_moderate_parameters(self):
-        result = mrl_series(Clfrd(2.0, 2.0, 2.0), 0.5)
-        assert not result.converged
-        assert result.tail_estimate > 1e-4
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the k-expansion integrates a Gaussian tail term by term over an "
-        "infinite range and diverges for every parameter value; at (0.5, 0.5, 0.5) "
-        "the smallest term is O(0.1), so 1e-4 agreement is unattainable",
-    )
     def test_agreement_at_moderate_parameters(self):
         m = Clfrd(0.5, 0.5, 0.5)
         result = mrl_series(m, 0.5)
         assert result.converged
-        assert result.value == pytest.approx(mrl(m, 0.5), abs=1e-4)
+        assert result.value == pytest.approx(mrl(m, 0.5), abs=1e-12)
 
-
-class TestRawMomentSeries:
-    def test_accurate_when_slope_is_small(self):
-        m = Clfrd(2.0, 0.05, 0.5)
-        result = raw_moment_series(m, 1)
-        assert result.value == pytest.approx(raw_moment(m, 1), abs=max(1e-8, 3 * result.tail_estimate))
-
-    def test_flags_divergence_at_moderate_parameters(self):
-        result = raw_moment_series(Clfrd(2.0, 2.0, 2.0), 1)
-        assert not result.converged
+    @pytest.mark.parametrize("params", PARAMETER_SETS)
+    def test_mean_at_age_zero(self, params):
+        m = Clfrd(*params)
+        result = mrl_series(m, 0.0)
+        assert result.converged
+        assert result.value == pytest.approx(raw_moment(m, 1), rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            raw_moment_series(Clfrd(2, 2, 2), 0)
+            mrl_series(Clfrd(2, 2, 2), -1.0)
 
 
 # ---------------------------------------------------------------------------
-# scalar loop reference: the term-by-term summation the vectorized series
-# reproduce, with scipy's scalar incomplete gamma functions
+# references in mpmath: the same mixture summed term by term, and the
+# integrals of the survival function themselves
 
 
-def loop_k_sum(terms, tol, allow_growth):
-    total = 0.0
-    prev_mag = math.inf
-    tail = 0.0
-    ok = False
-    for term in terms:
-        mag = abs(term)
-        if not allow_growth and mag >= prev_mag:
-            tail = mag
-            break
-        total += term
-        prev_mag = mag
-        if mag < tol * max(abs(total), 1e-300):
-            ok = True
-            break
-    else:
-        tail = prev_mag if math.isfinite(prev_mag) else 0.0
-    return total, tail, ok
+def loop_series(model, x):
+    """(mrl, mit) as the Poisson mixture summed term by term at 30 digits."""
+    with mpmath.workdps(30):
+        a, b, lam, x = (mpmath.mpf(v) for v in (model.alpha, model.beta, model.lam, x))
+        y = a * x + b * x * x / 2
+        sf = mpmath.exp(-y + lam * mpmath.expm1(-y))
+
+        def tail(k, t):  # integral of e^(-k (a s + b s^2 / 2)) over [t, inf)
+            return (mpmath.sqrt(mpmath.pi / (2 * k * b)) * mpmath.erfc(mpmath.sqrt(k / (2 * b)) * (a + b * t))
+                    * mpmath.exp(k * a * a / (2 * b)))
+
+        upper = spent = mpmath.mpf(0)
+        j = 0
+        while True:
+            p = mpmath.exp(j * mpmath.log(lam) - lam - mpmath.loggamma(j + 1))
+            upper += p * tail(j + 1, x)
+            spent += p * (tail(j + 1, 0) - tail(j + 1, x))
+            if j > lam and p < mpmath.mpf(10) ** -35:
+                break
+            j += 1
+        return float(upper / sf), float((x - spent) / -mpmath.expm1(mpmath.log(sf)))
 
 
-def loop_series(model, trunc, term_at, allow_growth):
-    # term_at(shift, i, c, k, w): the unsigned k-term of slice (shift, i)
-    a, b, lam = model.alpha, model.beta, model.lam
-    tol = trunc.tail_tolerance
-    total = tail = 0.0
-    k_ok = j_ok = True
-    for shift, outer in ((1, 1.0), (2, lam)):
-        small_blocks = 0
-        for j in range(trunc.max_j + 1):
-            block = 0.0
-            for i in range(min(j, trunc.max_i) + 1):
-                sign = -1.0 if (i + j) % 2 else 1.0
-                base = (math.lgamma(j + 1.0) - math.lgamma(i + 1.0) - math.lgamma(j - i + 1.0)
-                        + j * math.log(lam) - math.lgamma(j + 1.0))
-                c = (i + shift) * a
+def integral_references(model, x, dps):
+    """(mrl, mit) by mpmath quadrature of the survival function."""
+    with mpmath.workdps(dps):
+        a, b, lam, x = (mpmath.mpf(v) for v in (model.alpha, model.beta, model.lam, x))
 
-                def terms():
-                    for k in range(trunc.max_k + 1):
-                        w = base + k * (math.log(b) - math.log(2.0) + math.log(i + shift)) - math.lgamma(k + 1.0)
-                        yield sign * (-1.0 if k % 2 else 1.0) * term_at(c, k, w)
+        def log_sf(t):
+            y = a * t + b * t * t / 2
+            return -y + lam * mpmath.expm1(-y)
 
-                part, part_tail, part_ok = loop_k_sum(terms(), tol, allow_growth)
-                block += outer * part
-                tail = max(tail, outer * part_tail)
-                k_ok = k_ok and part_ok
-            total += block
-            if abs(block) < tol * max(abs(total), 1e-300):
-                small_blocks += 1
-                if small_blocks >= 2:
-                    break
-            else:
-                small_blocks = 0
-        else:
-            j_ok = False
-    return total, tail, k_ok and j_ok and tail <= tol * max(abs(total), 1e-300)
-
-
-def gamma_integral(s, c, lo, hi, coeff, w):
-    # coeff * e^w * integral of t^(s-1) e^(-c t) over [lo, hi], hi = inf or lo = 0
-    reg = gammaincc(s, c * lo) if hi == math.inf else gammainc(s, c * hi)
-    if coeff == 0.0 or reg == 0.0:
-        return 0.0
-    return math.copysign(
-        math.exp(w + math.lgamma(s) + math.log(reg) - s * math.log(c) + math.log(abs(coeff))), coeff)
-
-
-def loop_mit_series(model, x, trunc):
-    a, b = model.alpha, model.beta
-
-    def term_at(c, k, w):
-        return gamma_integral(2 * k + 2, c, 0.0, x, a, w) + gamma_integral(2 * k + 3, c, 0.0, x, b, w)
-
-    total, tail, converged = loop_series(model, trunc, term_at, allow_growth=True)
-    cdf = model.cdf(x)
-    return SeriesResult(x - total / cdf, converged, tail / cdf)
-
-
-def loop_mrl_series(model, x, trunc):
-    a, b = model.alpha, model.beta
-
-    def term_at(c, k, w):
-        return (gamma_integral(2 * k + 2, c, x, math.inf, a - b * x, w)
-                + gamma_integral(2 * k + 3, c, x, math.inf, b, w)
-                - gamma_integral(2 * k + 1, c, x, math.inf, a * x, w))
-
-    total, tail, converged = loop_series(model, trunc, term_at, allow_growth=False)
-    sf = model.sf(x)
-    return SeriesResult(total / sf, converged, tail / sf)
-
-
-def loop_raw_moment_series(model, r, trunc):
-    a, b = model.alpha, model.beta
-
-    def term_at(c, k, w):
-        t1 = math.exp(w + math.log(a) + math.lgamma(r + 2 * k + 1) - (r + 2 * k + 1) * math.log(c))
-        t2 = math.exp(w + math.log(b) + math.lgamma(r + 2 * k + 2) - (r + 2 * k + 2) * math.log(c))
-        return t1 + t2
-
-    total, tail, converged = loop_series(model, trunc, term_at, allow_growth=False)
-    return SeriesResult(total, converged, tail)
-
-
-def _hex(values):
-    return [float(v).hex() for v in values]
-
-
-@pytest.mark.parametrize("allow_growth", [False, True])
-@pytest.mark.parametrize("width", [1, 2, 5, 41])
-def test_row_k_sums_match_the_loop_bit_for_bit(allow_growth, width):
-    rng = np.random.default_rng(width + 100 * allow_growth)
-    rows = []
-    for _ in range(400):
-        mag = np.exp(rng.normal(0.0, 8.0, width))
-        mag = np.where(rng.random(width) < 0.3, np.roll(mag, 1), mag)  # exact magnitude ties
-        row = mag * rng.choice([-1.0, 1.0], width)
-        row[rng.random(width) < 0.1] = 0.0
-        row[rng.random(width) < 0.05] = math.inf
-        row[rng.random(width) < 0.05] = -math.inf
-        rows.append(row)
-    # rows that stop at the smallest term, at a relative tail, or never
-    rows.append(np.geomspace(1.0, 1e-30, width) * (-1.0) ** np.arange(width))
-    rows.append(np.geomspace(1e-30, 1.0, width))
-    rows.append(np.full(width, 2.5))
-    rows.append(np.zeros(width))
-    terms = np.array(rows)
-    for tol in (1e-10, 0.5):
-        total, tail, ok, _ = _k_sums(terms, tol, allow_growth)
-        expected = [loop_k_sum(row.tolist(), tol, allow_growth) for row in rows]
-        assert _hex(total) == _hex(e[0] for e in expected)
-        assert _hex(tail) == _hex(e[1] for e in expected)
-        assert ok.tolist() == [e[2] for e in expected]
-
-
-def assert_matches_loop(result, expected, magnitude_ties=False):
-    assert result.converged == expected.converged
-    if magnitude_ties and not expected.converged:
-        # the raw-moment k-terms can tie exactly in magnitude, and rounding
-        # then decides which of the tied terms a divergent row stops before
-        slack = max(result.tail_estimate, expected.tail_estimate) + 1e-12 * abs(expected.value)
-        assert abs(result.value - expected.value) <= slack
-    else:
-        assert result.value == pytest.approx(expected.value, rel=1e-12)
-        assert result.tail_estimate == pytest.approx(expected.tail_estimate, rel=1e-12)
+        # breakpoints from the decay length at x, where the hazard is
+        # highest for large lam, out to 100 of the slowest decay lengths
+        fast = 1 / ((a + b * x) * (1 + lam * mpmath.exp(-(a * x + b * x * x / 2))))
+        slow = min(1 / (a + b * x), mpmath.sqrt(2 / b))
+        points = [x]
+        while fast < 100 * slow:
+            points.append(x + fast)
+            fast *= 4
+        points += [x + 100 * slow, mpmath.inf]
+        at_x = log_sf(x)
+        residual = mpmath.quad(lambda t: mpmath.exp(log_sf(t) - at_x), points)
+        inactive = mpmath.quad(lambda t: -mpmath.expm1(log_sf(t)), [0, x / 2, x]) / -mpmath.expm1(at_x)
+        return float(residual), float(inactive)
 
 
 @pytest.mark.parametrize("params", PARAMETER_SETS)
 @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
 def test_series_match_the_scalar_loop(params, x):
     m = Clfrd(*params)
-    trunc = SeriesTruncation()
-    assert_matches_loop(mit_series(m, x), loop_mit_series(m, x, trunc))
-    assert_matches_loop(mrl_series(m, x), loop_mrl_series(m, x, trunc))
+    want_mrl, want_mit = loop_series(m, x)
+    assert mrl_series(m, x).value == pytest.approx(want_mrl, rel=1e-12, abs=0.0)
+    assert mit_series(m, x).value == pytest.approx(want_mit, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("params", PARAMETER_SETS)
-@pytest.mark.parametrize("r", [1, 2])
-def test_raw_moment_series_matches_the_scalar_loop(params, r):
+@pytest.mark.parametrize("x", [0.1, 0.5, 2.0])
+def test_series_match_mpmath_integrals_on_the_published_triples(params, x):
     m = Clfrd(*params)
-    expected = loop_raw_moment_series(m, r, SeriesTruncation())
-    assert_matches_loop(raw_moment_series(m, r), expected, magnitude_ties=True)
+    want_mrl, want_mit = integral_references(m, x, 30)
+    for result, want in ((mrl_series(m, x), want_mrl), (mit_series(m, x), want_mit)):
+        assert result.converged
+        assert result.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("params", [(1.3, 0.7, 1.1), (2.0, 0.05, 0.5), (0.9, 3.1, 0.2)])
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_raw_moment_series_matches_the_scalar_loop_without_ties(params, r):
-    m = Clfrd(*params)
-    assert_matches_loop(raw_moment_series(m, r), loop_raw_moment_series(m, r, SeriesTruncation()))
+log_uniform = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
 
 
-@pytest.mark.parametrize(
-    "trunc",
-    [SeriesTruncation(max_i=3, max_j=12, max_k=20), SeriesTruncation(max_i=5, max_j=5, max_k=0),
-     SeriesTruncation(max_k=300, tail_tolerance=1e-6)],
-)
-def test_series_match_the_scalar_loop_under_other_caps(trunc):
-    m = Clfrd(2.0, 0.5, 2.0)
-    assert_matches_loop(mit_series(m, 2.0, trunc), loop_mit_series(m, 2.0, trunc))
-    assert_matches_loop(mrl_series(m, 1.0, trunc), loop_mrl_series(m, 1.0, trunc))
-    assert_matches_loop(raw_moment_series(m, 2, trunc), loop_raw_moment_series(m, 2, trunc), magnitude_ties=True)
-
-
-def test_overflow_past_the_smallest_term_is_not_reached():
-    # tiny alpha: the k-terms overflow float64 well after the smallest term,
-    # where the residual-life sum has already stopped
-    m = Clfrd(1e-8, 1.0, 1.0)
-    assert_matches_loop(mrl_series(m, 0.5), loop_mrl_series(m, 0.5, SeriesTruncation()))
-
-
-def test_overflowing_term_raises():
-    with pytest.raises(OverflowError):
-        mit_series(Clfrd(1.0, 1e3, 1.0), 12.0, SeriesTruncation(max_k=300))
+@settings(max_examples=40)
+@given(log_uniform, log_uniform, st.floats(math.log(1e-6), math.log(1e3)).map(math.exp),
+       st.floats(math.log(1e-6), math.log(10.0)).map(math.exp))
+@example(1.0, 1.0, 1e3, 1e-6)
+@example(1.0, 100.0, 0.1, 1e-3)
+@example(100.0, 1.0, 1e3, 10.0)
+def test_converged_series_are_within_1e10_of_mpmath(alpha, beta, lam, x):
+    assume(alpha * alpha / beta <= 1e4)
+    m = Clfrd(alpha, beta, lam)
+    want_mrl, want_mit = integral_references(m, x, 20)
+    for result, want in ((mrl_series(m, x), want_mrl), (mit_series(m, x), want_mit)):
+        if result.converged:
+            assert result.value == pytest.approx(want, rel=1e-10, abs=0.0)
