@@ -5,9 +5,9 @@ information matrix are implemented from a fresh differentiation of the
 likelihood and gated by finite-difference tests.
 
 One driver fits every family from a per-family table of raw loglik,
-score, information and starts: BFGS over log-parameters (positivity by
-construction) from each start, with a Nelder-Mead rescue for a start that
-misses the gradient gate.
+score, information and starts: one BFGS run over log-parameters
+(positivity by construction) from each start, kept when it meets the
+gradient gate.
 
 The likelihood surface carries a flat ridge in the compounding parameter:
 as ``lam -> 0`` or ``lam -> inf`` (with the hazard parameters rescaled)
@@ -70,12 +70,11 @@ __all__ = [
     "wald_ci",
 ]
 
-_MAX_ITERATIONS = 500  # BFGS cap of the multistart driver; also sizes its Nelder-Mead rescue
+_MAX_ITERATIONS = 500  # BFGS cap of each start of the multistart driver
 _LOCAL_MAX_ITERATIONS = 100  # L-BFGS-B cap of the local fit
 _LOG_EDGE = 25.0  # |log parameter| beyond this marks a ridge/boundary fit
 _LOG_WALL = 600.0  # objective returns +inf past here to keep exp() finite
 _GRADIENT_GATE = 1e-5  # scaled sup-norm of the log-scale gradient a fit must reach
-_SIMPLEX_XATOL = 1e-9  # step tolerance of the Nelder-Mead rescue
 _LOCAL_LOWER = 1e-10  # lower bound of every parameter in the local search
 _FD_STEP = 1e-8  # L-BFGS-B's default absolute finite-difference step
 _FD_FALLBACK = math.sqrt(np.finfo(float).eps)  # scipy's relative step when 1e-8 vanishes
@@ -314,28 +313,13 @@ def _fit_multistart(name: str, x: np.ndarray, ci_level: float) -> FitResult:
         theta = np.exp(np.clip(lt, -_LOG_WALL, _LOG_WALL))
         return -family.score(theta, x) * theta
 
-    def bfgs(lt0):
-        return minimize(neg_ll, lt0, jac=neg_grad, method="BFGS",
-                        options=dict(maxiter=_MAX_ITERATIONS, gtol=1e-9))
-
     best = None
     total_iter = 0
-    starts = family.starts(x)
-    for lt0 in (np.log(s) for s in starts):
-        res = bfgs(lt0)
-        iters = res.nit
+    for start in family.starts(x):
+        res = minimize(neg_ll, np.log(start), jac=neg_grad, method="BFGS",
+                       options=dict(maxiter=_MAX_ITERATIONS, gtol=1e-9))
+        total_iter += res.nit
         scaled = np.max(np.abs(neg_grad(res.x))) / x.size
-        if scaled >= _GRADIENT_GATE:
-            # simplex rescue, then polish again
-            nm = minimize(neg_ll, res.x, method="Nelder-Mead",
-                          options=dict(maxiter=4 * _MAX_ITERATIONS, maxfev=8 * _MAX_ITERATIONS,
-                                       xatol=_SIMPLEX_XATOL, fatol=1e-12))
-            res2 = bfgs(nm.x)
-            iters += nm.nit + res2.nit
-            if res2.fun <= res.fun:
-                res = res2
-            scaled = np.max(np.abs(neg_grad(res.x))) / x.size
-        total_iter += iters
         if scaled < _GRADIENT_GATE and np.isfinite(res.fun):
             if best is None or -res.fun > best[0]:
                 best = (-res.fun, res.x)
@@ -343,7 +327,8 @@ def _fit_multistart(name: str, x: np.ndarray, ci_level: float) -> FitResult:
         raise NonConvergenceError(f"{name}: no start satisfied the gradient gate")
     lt = best[1]
     boundary = bool(np.any(np.abs(lt) > _LOG_EDGE))
-    message = "parameter at edge of search region (flat compounding ridge)" if boundary else ""
+    ridge = " (flat compounding ridge)" if name == "clfrd" else ""
+    message = f"parameter at edge of search region{ridge}" if boundary else ""
     theta = np.exp(lt)
     model = MODEL_REGISTRY[name](*theta)
     ll = family.loglik(theta, x)

@@ -4,21 +4,23 @@ Shape classification of the density and the hazard rate, mean residual
 life, mean inactivity time, raw moments, median, order-statistic densities
 and a likelihood-ratio-order grid check.
 
-Quadrature is the primary computation for the integral quantities.  The
-public functions check their arguments once; ``quad`` then integrates
-plain-float copies of the model's survival function and density, not the
-validating public methods.
+Quadrature of the survival function is the primary computation for the
+integral quantities: ``mrl``, ``mit`` and ``raw_moment`` integrate one
+integrand, a plain-float copy of the model's log survival function, not
+the validating public methods, which check their arguments once.
 
 The two series are cross-checks of ``mrl`` and ``mit`` that share no
 code with them.  The law is a Poisson mixture of linear-failure-rate
 laws: the minimum of k = 1 + j LFR(alpha, beta) lifetimes, j ~
 Poisson(lam), is LFR(k alpha, k beta), and each of those has a closed-form
 tail integral (``scipy.special.erfcx``).  The series are the one-index
-Poisson sums of those terms, with a rigorous bound on the left-out
-Poisson mass.  The paper's own MRL and moment rewrites, a k-expansion of
-the Gaussian-tail factor integrated term by term over an infinite range,
-diverge for every parameter value and are not implemented.  The median is
-the quantile's Newton solve at one half.
+Poisson sums of those terms.  The Poisson weights come from their ratio
+recurrence, with no special function, on a window of counts whose
+left-out mass is below a constant 2.1e-27 at every mean.  The paper's own
+MRL and moment rewrites, a k-expansion of the Gaussian-tail factor
+integrated term by term over an infinite range, diverge for every
+parameter value and are not implemented.  The median is the quantile's
+Newton solve at one half.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfcx
-from scipy.special import (  # named so: perfbench's tracer wraps them in this namespace
+from scipy.special import (  # noqa: F401  uncalled: perfbench's tracer wraps them in this namespace
     gammainc as regularized_gamma_p,
     gammaincc as regularized_gamma_q,
     gammaln as ln_gamma,
@@ -110,11 +112,10 @@ def hazard_shape(model: Clfrd) -> HazardShape:
     return HazardShape.BATHTUB
 
 
-def _tail_integral(func, lo: float, hi0: float, epsabs: float) -> float:
-    # integrate func over [lo, inf): finite leg to hi0 (to lo + 1 when hi0
-    # is not past lo), then doubling legs until a leg's contribution is
-    # negligible.  A leg much wider than hi0 can step over all the mass.
-    hi = hi0 if hi0 > lo else lo + 1.0
+def _tail_integral(func, lo: float, hi: float, epsabs: float) -> float:
+    # integrate func over [lo, inf): a first leg to hi, then doubling legs
+    # until a leg's contribution is negligible.  A leg much wider than the
+    # first can step over all the mass.
     total = quad(func, lo, hi, epsabs=epsabs, limit=200)[0]
     for _ in range(64):
         piece = quad(func, hi, 2.0 * hi, epsabs=epsabs, limit=200)[0]
@@ -125,12 +126,12 @@ def _tail_integral(func, lo: float, hi0: float, epsabs: float) -> float:
     return total
 
 
-def _integrands(model: Clfrd):
-    """Plain-float log survival function and density for ``quad``.
+def _log_sf(model: Clfrd):
+    """Plain-float log survival function for ``quad``.
 
-    The formulas of ``Clfrd.log_sf`` and ``Clfrd.log_pdf``, without their
-    argument checks and array handling: the public measures check their
-    arguments once, and quad evaluates an integrand ~100 times per leg.
+    The formula of ``Clfrd.log_sf``, without its argument checks and array
+    handling: the public measures check their arguments once, and quad
+    evaluates an integrand ~100 times per leg.
     """
     a, b, lam = model.alpha, model.beta, model.lam
 
@@ -138,52 +139,59 @@ def _integrands(model: Clfrd):
         y = a * t + 0.5 * b * t * t
         return -y + lam * math.expm1(-y)
 
-    def pdf(t):
-        y = a * t + 0.5 * b * t * t
-        e = math.exp(-y)
-        return math.exp(math.log(a + b * t) + math.log1p(lam * e) - y - lam + lam * e)
-
-    return log_sf, pdf
+    return log_sf
 
 
 def mrl(model: Clfrd, x) -> float:
     """Mean residual life E[U - x | U > x] at age x >= 0.
 
-    Integrated-survival form: ``(1 / sf(x)) * integral of sf over [x, inf)``
-    by adaptive quadrature with absolute tolerance 1e-8.
+    The integral of ``sf(t) / sf(x)`` over [x, inf), by adaptive quadrature
+    of ``exp(log_sf(t) - log_sf(x))``.  The first leg ends at the
+    1 - 1e-12 quantile, or 30 decay lengths ``1 / hazard(x)`` past an age
+    beyond it.
     """
     x = float(x)
     if x < 0:
         raise ValueError("mrl: x must be nonnegative")
-    s = model.sf(x)
-    if s == 0.0:
+    if model.sf(x) == 0.0:
         raise ArithmeticError("mrl: survival function underflows to zero at this age")
-    hi0 = model.quantile(1.0 - 1e-12)
-    log_sf, _ = _integrands(model)
-    return _tail_integral(lambda t: math.exp(log_sf(t)), x, hi0, 1e-12) / s
+    hi = model.quantile(1.0 - 1e-12)
+    if hi <= x:
+        hi = x + 30.0 / model.hazard(x)
+    log_sf = _log_sf(model)
+    at_x = log_sf(x)
+    return _tail_integral(lambda t: math.exp(log_sf(t) - at_x), x, hi, 1e-12)
 
 
 def mit(model: Clfrd, x) -> float:
     """Mean inactivity time E[x - U | U <= x] at inspection time x > 0.
 
-    ``(1 / cdf(x)) * integral of cdf over [0, x]`` by adaptive quadrature.
+    ``(1 / cdf(x)) * integral of cdf over [0, x]`` by adaptive quadrature,
+    with breakpoints at the median and the 1 - 1e-12 quantile where they
+    lie below x: at large lam the cdf rises within about 1/lam of 0.
     """
     x = float(x)
     if x <= 0:
         raise ValueError("mit: x must be positive")
     c = model.cdf(x)
-    log_sf, _ = _integrands(model)
-    return quad(lambda t: -math.expm1(log_sf(t)), 0.0, x, epsabs=1e-12, limit=200)[0] / c
+    log_sf = _log_sf(model)
+    points = [t for t in model.quantile([0.5, 1.0 - 1e-12]).tolist() if t < x] or None
+    return quad(lambda t: -math.expm1(log_sf(t)), 0.0, x, epsabs=1e-12, limit=200,
+                points=points)[0] / c
 
 
 def raw_moment(model: Clfrd, r: int) -> float:
-    """r-th raw moment E[U^r] by adaptive quadrature, r >= 1."""
+    """r-th raw moment E[U^r] = r * integral of t^(r-1) sf(t) over [0, inf), r >= 1.
+
+    The integrand of ``mrl`` at age 0 times ``r t^(r-1)``, so
+    ``raw_moment(model, 1) == mrl(model, 0)`` exactly.
+    """
     if int(r) != r or r < 1:
         raise ValueError("raw_moment: r must be a positive integer")
     r = int(r)
-    hi0 = model.quantile(1.0 - 1e-12)
-    _, pdf = _integrands(model)
-    return _tail_integral(lambda t: t**r * pdf(t), 0.0, hi0, 1e-12)
+    log_sf = _log_sf(model)
+    hi = model.quantile(1.0 - 1e-12)
+    return r * _tail_integral(lambda t: t ** (r - 1) * math.exp(log_sf(t)), 0.0, hi, 1e-12)
 
 
 def median(model: Clfrd) -> float:
@@ -223,6 +231,9 @@ def lr_monotone_check(model_small: Clfrd, model_large: Clfrd, grid) -> bool:
 
 
 _EPS = np.finfo(float).eps
+# Bernstein's bound on the Poisson mass outside _poisson's window, at its
+# largest over every mean (2.04e-27, near mean 0.007)
+_LEFT_OUT = 2.1e-27
 
 
 class SeriesResult(NamedTuple):
@@ -233,24 +244,24 @@ class SeriesResult(NamedTuple):
 
 def _poisson(lam: float, y: float):
     """Poisson weights of mean ``lam e^(-y)`` on the counts j within
-    ``12 sqrt(mean) + 40`` of the mean, bounds on their relative rounding,
-    and the Poisson mass outside that window.
+    ``12 sqrt(mean) + 40`` of the mean, and a bound on their relative rounding.
 
-    A weight is ``exp(j (log lam - y) - mean - ln_gamma(j + 1))``; its
-    rounding grows with the size of those terms, about ``eps * lam log lam``
-    at the mode, so results at very large lam come back flagged.
+    The weights follow ``w_(j+1) = w_j mean / (j + 1)`` up and down from the
+    mode and are normalized by their sum over the window, so no term grows
+    with the mean.  Each carries the rounding of at most one multiply per
+    count from the mode, which accumulates like a random walk: a few eps
+    times the root of the window's length.  The Poisson mass outside the
+    window is below ``_LEFT_OUT`` at every mean.
     """
     mean = lam * math.exp(-y)
     half = 12.0 * math.sqrt(mean) + 40.0
     lo, hi = max(math.ceil(mean - half), 0), math.floor(mean + half)
+    mode = math.floor(mean)
     j = np.arange(lo, hi + 1.0)
-    log_factorial = ln_gamma(j + 1.0)
-    p = np.exp(j * (math.log(lam) - y) - mean - log_factorial)
-    rounding = 4.0 * _EPS * (1.0 + j * (abs(math.log(lam)) + y) + mean + log_factorial)
-    outside = float(regularized_gamma_p(hi + 1.0, mean))
-    if lo > 0:
-        outside += float(regularized_gamma_q(lo, mean))
-    return j, p, rounding, outside
+    up = np.cumprod(mean / j[mode + 1 - lo:])
+    down = np.cumprod(j[mode - lo:0:-1] / mean)
+    w = np.concatenate([down[::-1], [1.0], up])
+    return j, w / w.sum(), 4.0 * _EPS * math.sqrt(j.size)
 
 
 def _lfr_mrl(model: Clfrd, k, x: float):
@@ -267,9 +278,9 @@ def mrl_series(model: Clfrd, x) -> SeriesResult:
 
     The law is the minimum of k = 1 + j LFR(alpha, beta) lifetimes with
     j ~ Poisson(lam).  Given survival to x, j is Poisson with mean
-    ``lam e^(-y)``: the weights ``p_j e^(-k y) / sf(x)``, combined in log
-    space.  The mean residual life is that mixture of the LFR(k alpha,
-    k beta) mean residual lives, so ``mrl_series(model, 0)`` is the mean.
+    ``lam e^(-y)``, whose weights are ``p_j e^(-k y) / sf(x)``.  The mean
+    residual life is that mixture of the LFR(k alpha, k beta) mean
+    residual lives, so ``mrl_series(model, 0)`` is the mean.
     The tail estimate bounds the terms left out (the Poisson mass outside
     the window times the k = 1 term, the largest) plus the weights'
     rounding.
@@ -278,10 +289,9 @@ def mrl_series(model: Clfrd, x) -> SeriesResult:
     if x < 0:
         raise ValueError("mrl_series: x must be nonnegative")
     y = model.alpha * x + 0.5 * model.beta * x * x
-    j, p, rounding, outside = _poisson(model.lam, y)
-    terms = p * _lfr_mrl(model, j + 1.0, x)
-    value = float(terms.sum())
-    tail = outside * float(_lfr_mrl(model, 1.0, x)) + float(terms @ rounding)
+    j, p, rounding = _poisson(model.lam, y)
+    value = float(p @ _lfr_mrl(model, j + 1.0, x))
+    tail = _LEFT_OUT * float(_lfr_mrl(model, 1.0, x)) + rounding * value
     return SeriesResult(value, tail <= 1e-10 * value, tail)
 
 
@@ -302,7 +312,7 @@ def mit_series(model: Clfrd, x) -> SeriesResult:
     if x <= 0:
         raise ValueError("mit_series: x must be positive")
     y = model.alpha * x + 0.5 * model.beta * x * x
-    j, p, rounding, outside = _poisson(model.lam, 0.0)
+    j, p, rounding = _poisson(model.lam, 0.0)
     k = j + 1.0
     t0 = _lfr_mrl(model, k, 0.0)
     tx = np.exp(-k * y) * _lfr_mrl(model, k, x)
@@ -310,5 +320,5 @@ def mit_series(model: Clfrd, x) -> SeriesResult:
     c = model.cdf(x)
     value = float(p @ inactive) / c
     error = np.abs(inactive) * rounding + 16.0 * _EPS * (x + t0 + tx)
-    tail = (outside * x + float(p @ error)) / c
+    tail = (_LEFT_OUT * x + float(p @ error)) / c
     return SeriesResult(value, tail <= 1e-10 * value, tail)

@@ -161,6 +161,7 @@ class TestFitClfrd:
         fit = fit_clfrd(devices)
         assert fit.converged
         assert fit.boundary
+        assert fit.message == "parameter at edge of search region (flat compounding ridge)"
         assert fit.neg2_loglik == pytest.approx(476.127, abs=0.01)
 
     def test_profile_sanity(self, students, appliances):
@@ -512,6 +513,13 @@ class TestBaselineFits:
         fit = fit_model("lfrd", appliances)
         assert fit.params["alpha"] == pytest.approx(0.3254, rel=0.01)
         assert fit.params["beta"] == pytest.approx(1.47e-2, rel=0.02)
+
+    def test_baseline_at_edge_names_no_ridge(self, students):
+        # beta-hat of about 1e-15 in these units: the edge of the search
+        # region, but a baseline has no compounding ridge
+        fit = fit_model("lfrd", students * 1e6)
+        assert fit.boundary
+        assert fit.message == "parameter at edge of search region"
 
     def test_fit_baselines_keys(self, students):
         fits = fit_baselines(students)

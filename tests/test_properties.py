@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -21,6 +22,9 @@ from clfrd import (
 )
 
 from conftest import PARAMETER_SETS
+
+# the published triples and two where the mass sits far below age 1
+MEAN_CASES = PARAMETER_SETS + ((1.0, 1.0, 703.0), (1.0, 1.0, 1e5))
 
 # published reference tables: residual life and inactivity time at age 0.5
 MRL_TABLE = {
@@ -173,8 +177,9 @@ class TestMrl:
         assert mrl(Clfrd(*params), 0.5) == pytest.approx(expected, abs=1e-4)
 
     def test_at_zero_equals_mean(self):
-        m = Clfrd(1.2, 0.8, 1.5)
-        assert mrl(m, 0.0) == pytest.approx(raw_moment(m, 1), abs=1e-7)
+        for params in MEAN_CASES:
+            m = Clfrd(*params)
+            assert mrl(m, 0.0) == raw_moment(m, 1), params
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -223,8 +228,30 @@ class TestMit:
 
 class TestRawMoment:
     def test_first_moment_is_mrl_at_zero(self):
-        m = Clfrd(2, 2, 2)
-        assert raw_moment(m, 1) == pytest.approx(mrl(m, 0.0), abs=1e-7)
+        for params in MEAN_CASES:
+            m = Clfrd(*params)
+            assert raw_moment(m, 1) == mrl(m, 0.0), params
+
+    @pytest.mark.parametrize("lam", [1e3, 1e5])
+    def test_first_two_moments_match_mpmath(self, lam):
+        # E[U^r] = r * integral of t^(r-1) sf(t), at 40 digits, with
+        # breakpoints at powers of 4 times the decay length 1 / (1 + lam)
+        with mpmath.workdps(40):
+            big = mpmath.mpf(lam)
+
+            def sf(t):
+                y = t + t * t / 2
+                return mpmath.exp(-y + big * mpmath.expm1(-y))
+
+            points = [mpmath.mpf(0)]
+            while points[-1] < 100:
+                points.append(mpmath.mpf(4) ** len(points) / (1 + big))
+            points.append(mpmath.inf)
+            mean = mpmath.quad(sf, points)
+            second = 2 * mpmath.quad(lambda t: t * sf(t), points)
+        m = Clfrd(1.0, 1.0, lam)
+        assert raw_moment(m, 1) == pytest.approx(float(mean), rel=2e-13, abs=0.0)
+        assert raw_moment(m, 2) == pytest.approx(float(second), rel=2e-13, abs=0.0)
 
     @pytest.mark.parametrize("params", PARAMETER_SETS)
     def test_variance_positive(self, params):

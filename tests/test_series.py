@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from clfrd import Clfrd, LinearFailureRate, mit, mit_series, mrl, mrl_series, raw_moment
+from clfrd import Clfrd, LinearFailureRate, median, mit, mit_series, mrl, mrl_series, raw_moment
 from scipy.integrate import quad
 
 from conftest import PARAMETER_SETS
@@ -70,15 +70,6 @@ def test_mit_series_flags_the_cancelled_complement(x):
     result = mit_series(Clfrd(0.5, 0.5, 0.5), x)
     assert not result.converged
     assert result.tail_estimate > 1e-10 * result.value
-
-
-@pytest.mark.parametrize("lam", [1e5, 1e8])
-def test_series_flag_the_rounding_of_large_poisson_weights(lam):
-    # each log weight rounds by about eps lam log lam; the window of counts
-    # around lam keeps the sums to ~24 sqrt(lam) terms
-    m = Clfrd(1.0, 1.0, lam)
-    for result in (mrl_series(m, 0.5), mit_series(m, 0.5)):
-        assert math.isfinite(result.value) and not result.converged
 
 
 class TestMrlSeries:
@@ -143,7 +134,7 @@ def loop_series(model, x):
 
 
 def integral_references(model, x, dps):
-    """(mrl, mit) by mpmath quadrature of the survival function."""
+    """(mrl, mit) by mpmath quadrature of the survival function; mit is nan at x = 0."""
     with mpmath.workdps(dps):
         a, b, lam, x = (mpmath.mpf(v) for v in (model.alpha, model.beta, model.lam, x))
 
@@ -162,6 +153,8 @@ def integral_references(model, x, dps):
         points += [x + 100 * slow, mpmath.inf]
         at_x = log_sf(x)
         residual = mpmath.quad(lambda t: mpmath.exp(log_sf(t) - at_x), points)
+        if x == 0:
+            return float(residual), math.nan
         inactive = mpmath.quad(lambda t: -mpmath.expm1(log_sf(t)), [0, x / 2, x]) / -mpmath.expm1(at_x)
         return float(residual), float(inactive)
 
@@ -183,6 +176,36 @@ def test_series_match_mpmath_integrals_on_the_published_triples(params, x):
     for result, want in ((mrl_series(m, x), want_mrl), (mit_series(m, x), want_mit)):
         assert result.converged
         assert result.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [1e4, 1e5, 1e7])
+def test_series_at_large_lam_match_mpmath_integrals(lam):
+    # the Poisson weights' ratio recurrence keeps no term that grows with lam
+    m = Clfrd(1.0, 1.0, lam)
+    for x in (0.0, median(m)):
+        result = mrl_series(m, x)
+        assert result.converged
+        assert result.value == pytest.approx(integral_references(m, x, 30)[0], rel=1e-12, abs=0.0)
+    result = mit_series(m, 0.5)
+    assert result.converged
+    assert result.value == pytest.approx(integral_references(m, 0.5, 30)[1], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lam, x", [(1e3, 0.3), (1e3, 0.5), (1e4, 0.01), (1e5, 0.005), (1e7, 5e-6)])
+def test_mrl_past_the_last_quantile_at_large_lam(lam, x):
+    # past the 1 - 1e-12 quantile sf(x) is tiny and its decay length 1 / hazard(x)
+    # far below 1: the integrand is scaled by sf(x) and the first leg sized by hazard(x)
+    m = Clfrd(1.0, 1.0, lam)
+    assert x > m.quantile(1.0 - 1e-12)
+    assert mrl(m, x) == pytest.approx(integral_references(m, x, 30)[0], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [1e4, 1e5, 1e6, 1e7])
+@pytest.mark.parametrize("x", [0.5, 2.0])
+def test_mit_sees_the_rise_of_the_cdf_at_large_lam(lam, x):
+    # the cdf rises within about 1/lam of 0, far inside the range [0, x]
+    m = Clfrd(1.0, 1.0, lam)
+    assert mit(m, x) == pytest.approx(integral_references(m, x, 30)[1], rel=1e-12, abs=0.0)
 
 
 log_uniform = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
