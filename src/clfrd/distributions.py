@@ -175,11 +175,11 @@ class Clfrd(LifetimeModel):
         return -y + self.lam * np.expm1(-y)
 
     def log_pdf(self, x):
-        # stable for large x: every exponential argument is nonpositive
+        # log hazard plus log_sf: lam * expm1(-y) does not cancel at large lam,
+        # and every exponential argument is nonpositive
         x = _as_domain_array(x)
         y = self._cumulative_hazard_base(x)
-        e = np.exp(-y)
-        return np.log(self.alpha + self.beta * x) + np.log1p(self.lam * e) - y - self.lam + self.lam * e
+        return np.log(self.alpha + self.beta * x) + np.log1p(self.lam * np.exp(-y)) - y + self.lam * np.expm1(-y)
 
     def hazard(self, x):
         # closed form; never computed as pdf/sf so it stays finite when sf underflows

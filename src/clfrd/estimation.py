@@ -4,10 +4,11 @@ The compounded-model log-likelihood, its exact gradient and observed
 information matrix are implemented from a fresh differentiation of the
 likelihood and gated by finite-difference tests.
 
-One driver fits every family from a per-family table of raw loglik,
-score, information and starts: one BFGS run over log-parameters
-(positivity by construction) from each start, kept when it meets the
-gradient gate.
+One driver fits every family from a per-family table of raw kernels: the
+loglik with its score from one pass, the information and the starts.  One
+BFGS run over log-parameters (positivity by construction) from each start
+takes value and gradient from that kernel and is kept when its own final
+gradient meets the gate; its final value is the fit's loglik.
 
 The likelihood surface carries a flat ridge in the compounding parameter:
 as ``lam -> 0`` or ``lam -> inf`` (with the hazard parameters rescaled)
@@ -126,35 +127,30 @@ def _check_data(data, minimum_size=1) -> np.ndarray:
 # check their arguments once and call these
 
 
-def _loglik(theta: np.ndarray, x: np.ndarray) -> float:
+def _loglik_score(theta: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log-likelihood and its exact gradient in (alpha, beta, lam), from one pass.
+
+    The log-density is summed in its expanded form ``-y - lam + lam*e``,
+    which cancels at large lam (``Clfrd.log_pdf`` uses the exact
+    ``lam*expm1(-y)``): the study's ``_neg_loglik_fd`` writes the same
+    expressions in the same order, so its value is ``-loglik`` bit for bit.
+    """
     a, b, lam = theta
     y = a * x + 0.5 * b * x * x
     e = np.exp(-y)
-    return float(
-        -x.size * lam
-        - a * x.sum()
-        - 0.5 * b * (x * x).sum()
-        + lam * e.sum()
-        + np.log(a + b * x).sum()
-        + np.log1p(lam * e).sum()
-    )
-
-
-def _score(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    a, b, lam = theta
-    y = a * x + 0.5 * b * x * x
-    e = np.exp(-y)
-    d = 1.0 + lam * e
+    le = lam * e
+    d = 1.0 + le
     lin = a + b * x
-    da = -x.sum() - lam * (x * e).sum() + (1.0 / lin).sum() - lam * (x * e / d).sum()
-    db = (
-        -0.5 * (x * x).sum()
-        - 0.5 * lam * (x * x * e).sum()
-        + (x / lin).sum()
-        - 0.5 * lam * (x * x * e / d).sum()
+    xx = x * x
+    sx, sxx = x.sum(), xx.sum()
+    xe, xxe = x * e, xx * e
+    loglik = float(
+        -x.size * lam - a * sx - 0.5 * b * sxx + lam * e.sum() + np.log(lin).sum() + np.log1p(le).sum()
     )
+    da = -sx - lam * xe.sum() + (1.0 / lin).sum() - lam * (xe / d).sum()
+    db = -0.5 * sxx - 0.5 * lam * xxe.sum() + (x / lin).sum() - 0.5 * lam * (xxe / d).sum()
     dl = -float(x.size) + e.sum() + (e / d).sum()
-    return np.array([da, db, dl])
+    return loglik, np.array([da, db, dl])
 
 
 def _information(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -176,12 +172,12 @@ def _information(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def clfrd_loglik(model: Clfrd, data) -> float:
     """Log-likelihood of strictly positive observations under the model."""
-    return _loglik(model.to_vector(), _check_data(data))
+    return _loglik_score(model.to_vector(), _check_data(data))[0]
 
 
 def clfrd_score(model: Clfrd, data) -> np.ndarray:
     """Exact gradient of the log-likelihood in (alpha, beta, lam)."""
-    return _score(model.to_vector(), _check_data(data))
+    return _loglik_score(model.to_vector(), _check_data(data))[1]
 
 
 def clfrd_observed_information(model: Clfrd, data) -> np.ndarray:
@@ -209,21 +205,11 @@ def _default_starts(x: np.ndarray) -> list[tuple[float, float, float]]:
 # one through the public method bit for bit
 
 
-def _lfr_loglik(theta: np.ndarray, x: np.ndarray) -> float:
-    a, b = theta
-    return float(np.sum(np.log(a + b * x) - a * x - 0.5 * b * x * x))
-
-
-def _ged_loglik(theta: np.ndarray, x: np.ndarray) -> float:
-    r, s = theta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.sum(math.log(s * r) - r * x + (s - 1.0) * np.log(-np.expm1(-r * x))))
-
-
-def _lfr_score(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _lfr_loglik_score(theta: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
     a, b = theta
     lin = a + b * x
-    return np.array([(1.0 / lin).sum() - x.sum(), (x / lin).sum() - 0.5 * (x * x).sum()])
+    loglik = float(np.sum(np.log(lin) - a * x - 0.5 * b * x * x))
+    return loglik, np.array([(1.0 / lin).sum() - x.sum(), (x / lin).sum() - 0.5 * (x * x).sum()])
 
 
 def _lfr_information(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -234,13 +220,14 @@ def _lfr_information(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     )
 
 
-def _ged_score(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _ged_loglik_score(theta: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
     r, s = theta
     em = -np.expm1(-r * x)  # 1 - e^(-rx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_em = np.log(em)
+        loglik = float(np.sum(math.log(s * r) - r * x + (s - 1.0) * log_em))
     ratio = x * np.exp(-r * x) / em
-    return np.array(
-        [x.size / r - x.sum() + (s - 1.0) * ratio.sum(), x.size / s + np.log(em).sum()]
-    )
+    return loglik, np.array([x.size / r - x.sum() + (s - 1.0) * ratio.sum(), x.size / s + log_em.sum()])
 
 
 def _ged_information(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -253,28 +240,27 @@ def _ged_information(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 # Raw kernels of one family in its natural parameters theta:
-# loglik(theta, x), score(theta, x), information(theta, x) and starts(x)
-_Family = namedtuple("_Family", "loglik score information starts")
+# loglik_score(theta, x) -> (loglik, score), information(theta, x) and starts(x)
+_Family = namedtuple("_Family", "loglik_score information starts")
 
 # Keyed like MODEL_REGISTRY.  The exponential and Rayleigh starts are their
 # closed-form estimates, where the gradient gate already holds.
 _FAMILIES = {
-    "clfrd": _Family(_loglik, _score, _information, _default_starts),
-    "lfrd": _Family(_lfr_loglik, _lfr_score, _lfr_information, _hazard_starts),
+    "clfrd": _Family(_loglik_score, _information, _default_starts),
+    "lfrd": _Family(_lfr_loglik_score, _lfr_information, _hazard_starts),
     "rd": _Family(
-        lambda t, x: float(np.sum(np.log(x) - 2.0 * math.log(t[0]) - x * x / (2.0 * t[0] * t[0]))),
-        lambda t, x: np.array([(x * x).sum() / t[0] ** 3 - 2.0 * x.size / t[0]]),
+        lambda t, x: (float(np.sum(np.log(x) - 2.0 * math.log(t[0]) - x * x / (2.0 * t[0] * t[0]))),
+                      np.array([(x * x).sum() / t[0] ** 3 - 2.0 * x.size / t[0]])),
         lambda t, x: np.array([[3.0 * (x * x).sum() / t[0] ** 4 - 2.0 * x.size / t[0] ** 2]]),
         lambda x: [(math.sqrt(float((x * x).sum()) / (2.0 * x.size)),)],
     ),
     "ed": _Family(
-        lambda t, x: float(np.sum(math.log(t[0]) - t[0] * x)),
-        lambda t, x: np.array([x.size / t[0] - x.sum()]),
+        lambda t, x: (float(np.sum(math.log(t[0]) - t[0] * x)), np.array([x.size / t[0] - x.sum()])),
         lambda t, x: np.array([[x.size / t[0] ** 2]]),
         lambda x: [(x.size / float(x.sum()),)],
     ),
     "ged": _Family(
-        _ged_loglik, _ged_score, _ged_information,
+        _ged_loglik_score, _ged_information,
         lambda x: [(1.0 / float(x.mean()), s0) for s0 in (0.5, 1.0, 2.5)],
     ),
 }
@@ -304,34 +290,31 @@ def _fit_multistart(name: str, x: np.ndarray, ci_level: float) -> FitResult:
         raise ValueError("ci_level must lie in (0, 1)")
     family = _FAMILIES[name]
 
-    def neg_ll(lt):
-        if np.any(np.abs(lt) > _LOG_WALL):
-            return math.inf
-        return -family.loglik(np.exp(lt), x)
-
-    def neg_grad(lt):
+    def objective(lt):
+        # -loglik and its log-scale gradient; the value is +inf past the
+        # wall, the gradient that at the clipped point, so exp() stays finite
         theta = np.exp(np.clip(lt, -_LOG_WALL, _LOG_WALL))
-        return -family.score(theta, x) * theta
+        loglik, score = family.loglik_score(theta, x)
+        return (math.inf if np.any(np.abs(lt) > _LOG_WALL) else -loglik), -score * theta
 
     best = None
     total_iter = 0
     for start in family.starts(x):
-        res = minimize(neg_ll, np.log(start), jac=neg_grad, method="BFGS",
+        res = minimize(objective, np.log(start), jac=True, method="BFGS",
                        options=dict(maxiter=_MAX_ITERATIONS, gtol=1e-9))
         total_iter += res.nit
-        scaled = np.max(np.abs(neg_grad(res.x))) / x.size
-        if scaled < _GRADIENT_GATE and np.isfinite(res.fun):
+        # res.jac and res.fun are BFGS's own evaluation at res.x
+        if np.max(np.abs(res.jac)) / x.size < _GRADIENT_GATE and np.isfinite(res.fun):
             if best is None or -res.fun > best[0]:
                 best = (-res.fun, res.x)
     if best is None:
         raise NonConvergenceError(f"{name}: no start satisfied the gradient gate")
-    lt = best[1]
+    ll, lt = best
     boundary = bool(np.any(np.abs(lt) > _LOG_EDGE))
     ridge = " (flat compounding ridge)" if name == "clfrd" else ""
     message = f"parameter at edge of search region{ridge}" if boundary else ""
     theta = np.exp(lt)
     model = MODEL_REGISTRY[name](*theta)
-    ll = family.loglik(theta, x)
     info = np.asarray(family.information(theta, x), dtype=float)
     covariance = std = None
     try:
@@ -384,7 +367,7 @@ def _neg_loglik_fd(theta: np.ndarray, x: np.ndarray, sums=None) -> tuple[np.ndar
     ``sqrt(eps) * max(1, |theta|)``, and each difference is divided by the
     step actually taken, ``(theta + h) - theta``.  The lam-shifted point
     shares theta's ``exp(-y)`` and ``log(alpha + beta x)``, so three of each
-    are computed per row.  Every row is bit-identical to ``-_loglik`` at
+    are computed per row.  Every row is bit-identical to ``-clfrd_loglik`` at
     its points, so iterates match a run on ``-loglik`` with scipy's own
     finite differences bit for bit.  Points off the open positive orthant
     score ``+inf``.

@@ -146,15 +146,14 @@ def mrl(model: Clfrd, x) -> float:
     """Mean residual life E[U - x | U > x] at age x >= 0.
 
     The integral of ``sf(t) / sf(x)`` over [x, inf), by adaptive quadrature
-    of ``exp(log_sf(t) - log_sf(x))``.  The first leg ends at the
+    of ``exp(log_sf(t) - log_sf(x))``, which holds where ``sf(x)`` itself
+    underflows.  The first leg ends at the
     1 - 1e-12 quantile, or 30 decay lengths ``1 / hazard(x)`` past an age
     beyond it.
     """
     x = float(x)
     if x < 0:
         raise ValueError("mrl: x must be nonnegative")
-    if model.sf(x) == 0.0:
-        raise ArithmeticError("mrl: survival function underflows to zero at this age")
     hi = model.quantile(1.0 - 1e-12)
     if hi <= x:
         hi = x + 30.0 / model.hazard(x)

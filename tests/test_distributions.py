@@ -95,6 +95,20 @@ class TestClfrdPdf:
         val = m.log_pdf(200.0)
         assert np.isfinite(val) and val < -1e4
 
+    def test_log_pdf_against_mpmath_at_large_lam(self):
+        # the devices fit's triple: -lam + lam * e would cancel to ~1e-8
+        mpmath = pytest.importorskip("mpmath")
+        params = (9.18e-11, 1.62e-12, 1.485e8)
+        x = np.array([0.1, 1.0, 18.0, 50.0, 86.0])
+        with mpmath.workdps(50):
+            a, b, lam = (mpmath.mpf(v) for v in params)
+            want = []
+            for t in map(mpmath.mpf, x.tolist()):
+                y = a * t + b * t * t / 2
+                want.append(float(mpmath.log(a + b * t) + mpmath.log1p(lam * mpmath.exp(-y))
+                                  - y + lam * mpmath.expm1(-y)))
+        np.testing.assert_allclose(Clfrd(*params).log_pdf(x), want, rtol=0.0, atol=1e-14)
+
 
 class TestClfrdHazard:
     def test_at_zero(self):

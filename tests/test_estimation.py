@@ -22,7 +22,7 @@ from clfrd import (
     wald_ci,
 )
 from clfrd import estimation
-from clfrd.estimation import _FAMILIES, _loglik, _neg_loglik_fd, fit_clfrd_block
+from clfrd.estimation import _FAMILIES, _loglik_score, _neg_loglik_fd, fit_clfrd_block
 from clfrd.distributions import DEFAULT_PARAMETER_SETS
 from clfrd.sampling import DEFAULT_SEED
 from clfrd.simulation import _cell_seed, _fit_replications
@@ -232,8 +232,8 @@ class TestRawKernels:
         x = sample_inverse(Clfrd(2.0, 2.0, 2.0), n, SeededStream(31, n))
         theta = np.vstack([[2.0, 2.0, 2.0], np.exp(rng.uniform(-20.0, 25.0, (5, 3)))])
         for t in theta:
-            assert _loglik(t, x) == reference_loglik(t, x)
-            assert _loglik(t, x) == clfrd_loglik(Clfrd(*t), x)
+            assert _loglik_score(t, x)[0] == reference_loglik(t, x)
+            assert _loglik_score(t, x)[0] == clfrd_loglik(Clfrd(*t), x)
 
     @pytest.mark.parametrize("name", ["lfrd", "rd", "ed", "ged"])
     def test_baseline_loglik_is_the_log_pdf_sum_bit_for_bit(self, name, students, devices):
@@ -241,7 +241,7 @@ class TestRawKernels:
         family = MODEL_REGISTRY[name]
         for x in (students, devices, sample_inverse(Clfrd(2.0, 2.0, 2.0), 1000, SeededStream(33))):
             for theta in np.exp(rng.uniform(-20.0, 20.0, (20, family.param_count))):
-                assert _FAMILIES[name].loglik(theta, x) == float(np.sum(family(*theta).log_pdf(x)))
+                assert _FAMILIES[name].loglik_score(theta, x)[0] == float(np.sum(family(*theta).log_pdf(x)))
 
     def test_fd_objective_matches_scipy_forward_difference(self):
         # log-uniform over e^-20..e^25: components past 2^27 make 1e-8
@@ -542,20 +542,27 @@ class TestFittingDriver:
         theta = fit.model.to_vector()
         # sup-norm of the log-scale gradient per observation, the driver's gate
         assert fit.converged
-        assert np.max(np.abs(_FAMILIES[name].score(theta, x) * theta)) / x.size < 1e-5
+        assert np.max(np.abs(_FAMILIES[name].loglik_score(theta, x)[1] * theta)) / x.size < 1e-5
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_score_matches_differences_of_its_own_value(self, name, students):
+        # the kernel's score against central differences of the value it
+        # returns with it, off the optimum
+        kernel = _FAMILIES[name].loglik_score
+        theta = fit_model(name, students).model.to_vector() * 1.3
+        h = 1e-6 * theta
+        fd = [(kernel(theta + e, students)[0] - kernel(theta - e, students)[0]) / (2 * hi)
+              for e, hi in zip(np.diag(h), h)]
+        np.testing.assert_allclose(kernel(theta, students)[1], fd, rtol=1e-6, atol=1e-6)
 
     @pytest.mark.parametrize("name", ["lfrd", "rd", "ed", "ged"])
     def test_baseline_kernels_match_finite_differences(self, name, students):
-        # score against central differences of the family's own log_pdf sum,
         # information against central differences of the score, off the optimum
         family = _FAMILIES[name]
         theta = fit_model(name, students).model.to_vector() * 1.3
-        loglik = lambda t: float(np.sum(MODEL_REGISTRY[name](*t).log_pdf(students)))
         h = 1e-6 * theta
         step = np.diag(h)
-        fd_score = [(loglik(theta + e) - loglik(theta - e)) / (2 * hi) for e, hi in zip(step, h)]
-        np.testing.assert_allclose(family.score(theta, students), fd_score, rtol=1e-6, atol=1e-6)
-        score = lambda t: family.score(t, students)
+        score = lambda t: family.loglik_score(t, students)[1]
         fd_info = np.array([-(score(theta + e) - score(theta - e)) / (2 * hi) for e, hi in zip(step, h)])
         np.testing.assert_allclose(family.information(theta, students), fd_info.T, rtol=1e-6)
 
@@ -572,7 +579,7 @@ class TestFittingDriver:
 
     @pytest.mark.parametrize("name", ["lfrd", "ged"])
     def test_no_start_passing_the_gate_raises(self, name, students, monkeypatch):
-        # one BFGS step, then a 4-iteration simplex and one more step
+        # one BFGS iteration from each start stops short of the gate
         monkeypatch.setattr(estimation, "_MAX_ITERATIONS", 1)
         with pytest.raises(NonConvergenceError, match="gradient gate"):
             fit_model(name, students)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from clfrd import Clfrd
 from clfrd.distributions import lambert_w0
-from clfrd.estimation import _loglik, _neg_loglik_fd, _sample_sums
+from clfrd.estimation import _loglik_score, _neg_loglik_fd, _sample_sums
 
 log_uniform = st.floats(math.log(1e-6), math.log(1e6)).map(math.exp)
 levels = st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30).map(
@@ -93,8 +93,8 @@ def test_fd_block_equals_its_rows_and_loglik_at_each_point(rows, off_cells, n, s
             continue
         # scipy's step: absolute 1e-8, or relative where 1e-8 vanishes
         up = t + np.where(t + 1e-8 - t == 0.0, math.sqrt(np.finfo(float).eps) * np.maximum(1.0, t), 1e-8)
-        assert f[r] == -_loglik(t, x[r])
+        assert f[r] == -_loglik_score(t, x[r])[0]
         for k in range(3):
             point = t.copy()
             point[k] = up[k]
-            assert grad[r, k] == (-_loglik(point, x[r]) - f[r]) / (up[k] - t[k])
+            assert grad[r, k] == (-_loglik_score(point, x[r])[0] - f[r]) / (up[k] - t[k])

@@ -15,6 +15,7 @@ from clfrd import (
     median,
     mit,
     mrl,
+    mrl_series,
     order_stat_pdf,
     pdf_shape,
     raw_moment,
@@ -185,9 +186,11 @@ class TestMrl:
         with pytest.raises(ValueError):
             mrl(Clfrd(2, 2, 2), -1.0)
 
-    def test_underflow_guard(self):
-        with pytest.raises(ArithmeticError):
-            mrl(Clfrd(2, 2, 2), 80.0)
+    @pytest.mark.parametrize("params,x", [((2, 2, 2), 80.0), ((1, 1, 1e4), 0.3), ((0.5, 0.5, 0.5), 40.0)])
+    def test_where_sf_underflows(self, params, x):
+        # the integrand is scaled by log_sf(x), so sf(x) == 0 costs nothing
+        m = Clfrd(*params)
+        assert mrl(m, x) == pytest.approx(mrl_series(m, x).value, rel=1e-10)
 
     @pytest.mark.parametrize("lam", [703.0, 1e3, 1e5])
     def test_at_large_lam(self, lam):
