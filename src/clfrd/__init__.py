@@ -18,8 +18,7 @@ _EXPORTS = {
                       "GeneralizedExponential", "LifetimeModel", "MODEL_REGISTRY",
                       "DEFAULT_PARAMETER_SETS"),
     "estimation": ("FitResult", "NonConvergenceError", "clfrd_loglik", "clfrd_score",
-                   "clfrd_observed_information", "fit_clfrd", "fit_model", "fit_baselines",
-                   "wald_ci"),
+                   "clfrd_observed_information", "fit_clfrd", "fit_model"),
     "gof": ("GofReport", "ks_test", "ad_stat", "cm_stat", "aic", "compare_models"),
     "properties": ("PdfShape", "HazardShape", "pdf_shape", "hazard_shape", "mrl", "mit",
                    "raw_moment", "median", "order_stat_pdf", "lr_monotone_check",

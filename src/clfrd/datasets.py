@@ -6,8 +6,8 @@ of 48 students, failure times of 36 appliances on an automatic life test
 lifetimes of 50 devices.  They drive the golden-value tests and the CLI
 examples.
 
-External data loads from CSV (one value per row, or a selected column,
-optional header) or from a JSON array.  Values must be strictly positive;
+External data loads from CSV (the first column, after an optional header
+row) or from a JSON array.  Values must be strictly positive;
 offending rows are reported by number.
 """
 
@@ -50,8 +50,6 @@ BUILTIN_NAMES = ("students", "appliances", "devices")
 class Dataset:
     name: str
     values: np.ndarray = field(compare=False)
-    source_note: str = ""
-    scale_applied: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -69,16 +67,12 @@ def builtin(name: str, raw: bool = False) -> Dataset:
     never scaled).
     """
     if name == "students":
-        return Dataset("students", np.array(_STUDENTS, dtype=float),
-                       "marks obtained by 48 students in mathematics")
+        return Dataset("students", np.array(_STUDENTS, dtype=float))
     if name == "appliances":
         values = np.array(_APPLIANCES_RAW, dtype=float)
-        if raw:
-            return Dataset("appliances", values, "failure times of 36 appliances, raw cycles")
-        return Dataset("appliances", values / 1000.0,
-                       "failure times of 36 appliances, thousands of cycles", 1e-3)
+        return Dataset("appliances", values if raw else values / 1000.0)
     if name == "devices":
-        return Dataset("devices", np.array(_DEVICES, dtype=float), "lifetimes of 50 devices")
+        return Dataset("devices", np.array(_DEVICES, dtype=float))
     raise KeyError(f"unknown builtin dataset {name!r}; expected one of {BUILTIN_NAMES}")
 
 
@@ -92,41 +86,26 @@ def _parse_positive(token: str, where: str) -> float:
     return value
 
 
-def load_csv(path, column: str | int | None = None) -> Dataset:
-    """Load one numeric column from a CSV file.
+def load_csv(path) -> Dataset:
+    """Load the first column of a CSV file.
 
-    ``column`` selects by zero-based index or header name; default is the
-    first column.  A non-numeric first row is treated as a header.  Errors
-    carry one-based row numbers.
+    A non-numeric first row is treated as a header.  Errors carry
+    one-based row numbers.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         records = [r for r in csv.reader(fh) if r and any(cell.strip() for cell in r)]
     if not records:
         raise ValueError(f"{path}: empty dataset")
-
-    idx = column if isinstance(column, int) else 0
-    header_rows = 0
-    first = records[0]
     try:
-        float(first[idx if isinstance(column, int) else 0])
-    except (ValueError, IndexError):
+        float(records[0][0])
+        header_rows = 0
+    except ValueError:
         header_rows = 1
-    if isinstance(column, str):
-        if not header_rows:
-            raise ValueError(f"{path}: column {column!r} requested but file has no header row")
-        try:
-            idx = [h.strip() for h in first].index(column)
-        except ValueError:
-            raise ValueError(f"{path}: no column named {column!r}") from None
-
-    values = []
-    for row_no, record in enumerate(records[header_rows:], start=1 + header_rows):
-        if idx >= len(record):
-            raise ValueError(f"row {row_no}: missing column {idx}")
-        values.append(_parse_positive(record[idx].strip(), f"row {row_no}"))
+    values = [_parse_positive(record[0].strip(), f"row {row_no}")
+              for row_no, record in enumerate(records[header_rows:], start=1 + header_rows)]
     if not values:
         raise ValueError(f"{path}: empty dataset")
-    return Dataset(str(path), np.array(values), f"loaded from {path}")
+    return Dataset(str(path), np.array(values))
 
 
 def load_json(path) -> Dataset:
@@ -140,4 +119,4 @@ def load_json(path) -> Dataset:
         if not isinstance(item, (int, float)):
             raise ValueError(f"element {pos}: {item!r} is not numeric")
         values.append(_parse_positive(str(item), f"element {pos}"))
-    return Dataset(str(path), np.array(values), f"loaded from {path}")
+    return Dataset(str(path), np.array(values))

@@ -67,8 +67,6 @@ __all__ = [
     "fit_clfrd",
     "fit_clfrd_block",
     "fit_model",
-    "fit_baselines",
-    "wald_ci",
 ]
 
 _MAX_ITERATIONS = 500  # BFGS cap of each start of the multistart driver
@@ -271,20 +269,6 @@ _FAMILIES = {
 # recovery study, and the entry points
 
 
-def wald_ci(fit: FitResult, level: float | None = None) -> dict[str, tuple[float, float]]:
-    """Normal-theory intervals est +/- z * stderr on the natural scale."""
-    if fit.std_errors is None:
-        raise ValueError("wald_ci: covariance unavailable for this fit")
-    level = fit.ci_level if level is None else float(level)
-    if not 0.0 < level < 1.0:
-        raise ValueError("wald_ci: level must lie in (0, 1)")
-    z = float(ndtri(0.5 + level / 2.0))
-    return {
-        name: (est - z * fit.std_errors[name], est + z * fit.std_errors[name])
-        for name, est in fit.params.items()
-    }
-
-
 def _fit_multistart(name: str, x: np.ndarray, ci_level: float) -> FitResult:
     if not 0.0 < ci_level < 1.0:
         raise ValueError("ci_level must lie in (0, 1)")
@@ -316,7 +300,7 @@ def _fit_multistart(name: str, x: np.ndarray, ci_level: float) -> FitResult:
     theta = np.exp(lt)
     model = MODEL_REGISTRY[name](*theta)
     info = np.asarray(family.information(theta, x), dtype=float)
-    covariance = std = None
+    covariance = std = ci = None
     try:
         np.linalg.cholesky(info)
     except np.linalg.LinAlgError:
@@ -324,23 +308,22 @@ def _fit_multistart(name: str, x: np.ndarray, ci_level: float) -> FitResult:
     else:
         covariance = np.linalg.inv(info)
         std = {nm: float(math.sqrt(covariance[i, i])) for i, nm in enumerate(model.param_names)}
-    fit = FitResult(
+        z = float(ndtri(0.5 + ci_level / 2.0))
+        ci = {nm: (est - z * std[nm], est + z * std[nm]) for nm, est in model.params().items()}
+    return FitResult(
         model=model,
         params=model.params(),
         loglik=ll,
         neg2_loglik=-2.0 * ll,
         covariance=covariance,
         std_errors=std,
-        ci=None,
+        ci=ci,
         ci_level=ci_level,
         converged=True,
         iterations=total_iter,
         boundary=boundary,
         message=message,
     )
-    if std is not None:
-        fit.ci = wald_ci(fit)
-    return fit
 
 
 def _sample_sums(x: np.ndarray) -> np.ndarray:
@@ -606,8 +589,3 @@ def fit_model(name: str, data, ci_level: float = 0.95) -> FitResult:
     if name == "clfrd":
         return fit_clfrd(data, ci_level)
     return _fit_multistart(name, _check_data(data, minimum_size=2), ci_level)
-
-
-def fit_baselines(data, ci_level: float = 0.95) -> dict[str, FitResult]:
-    """Fit the four baseline families; keys lfrd, rd, ed, ged."""
-    return {name: fit_model(name, data, ci_level) for name in ("lfrd", "rd", "ed", "ged")}

@@ -38,8 +38,6 @@ class GofWarning(UserWarning):
 @dataclass
 class GofReport:
     model_name: str
-    param_count: int
-    params: dict[str, float]
     ks_stat: float
     ks_pvalue: float
     ad_stat: float
@@ -60,21 +58,19 @@ def _probits(data, cdf) -> np.ndarray:
     return u
 
 
-def ks_test(data, cdf, exact: bool | None = None) -> tuple[float, float]:
+def ks_test(data, cdf) -> tuple[float, float]:
     """Kolmogorov-Smirnov statistic and p-value against a fixed CDF.
 
     ``D = max_i max(i/n - u_i, u_i - (i-1)/n)`` over the sorted sample.
-    ``exact=None`` selects the exact finite-n null distribution when
-    n < 100 and the sample has no ties, and the asymptotic law
-    ``scipy.special.kolmogorov(sqrt(n) D)`` otherwise; pass True/False to force.
+    The null law is chosen from the sample: the exact finite-n
+    distribution when n < 100 and the sample has no ties, and the
+    asymptotic law ``scipy.special.kolmogorov(sqrt(n) D)`` otherwise.
     """
     u = _probits(data, cdf)
     n = u.size
     i = np.arange(1, n + 1)
     stat = float(np.max(np.maximum(i / n - u, u - (i - 1) / n)))
-    if exact is None:
-        exact = n < 100 and np.unique(u).size == n
-    if exact:
+    if n < 100 and np.unique(u).size == n:
         from scipy.stats import kstwo
 
         pvalue = float(kstwo.sf(stat, n))
@@ -146,28 +142,8 @@ def compare_models(data, models=("clfrd", "lfrd", "rd", "ed", "ged")) -> list[Go
             a2 = ad_stat(x, model.cdf)
             w2 = cm_stat(x, model.cdf)
             aic_std, aic_red = aic(fit.neg2_loglik, model.param_count)
-            reports.append(
-                GofReport(
-                    model_name=name,
-                    param_count=model.param_count,
-                    params=fit.params,
-                    ks_stat=stat,
-                    ks_pvalue=pvalue,
-                    ad_stat=a2,
-                    cm_stat=w2,
-                    neg2_loglik=fit.neg2_loglik,
-                    aic_standard=aic_std,
-                    aic_reduced=aic_red,
-                )
-            )
+            reports.append(GofReport(name, stat, pvalue, a2, w2, fit.neg2_loglik, aic_std, aic_red))
         except (estimation.NonConvergenceError, ValueError, ArithmeticError) as exc:
-            nan = float("nan")
-            reports.append(
-                GofReport(
-                    model_name=name, param_count=0, params={}, ks_stat=nan,
-                    ks_pvalue=nan, ad_stat=nan, cm_stat=nan, neg2_loglik=nan,
-                    aic_standard=nan, aic_reduced=nan, error=str(exc),
-                )
-            )
+            reports.append(GofReport(name, *[math.nan] * 7, error=str(exc)))
     reports.sort(key=lambda r: (math.isnan(r.aic_standard), r.aic_standard, r.model_name))
     return reports

@@ -14,12 +14,10 @@ from clfrd import (
     clfrd_loglik,
     clfrd_observed_information,
     clfrd_score,
-    fit_baselines,
     fit_clfrd,
     fit_model,
     builtin,
     sample_inverse,
-    wald_ci,
 )
 from clfrd import estimation
 from clfrd.estimation import _FAMILIES, _loglik_score, _neg_loglik_fd, fit_clfrd_block
@@ -455,17 +453,14 @@ class TestFitOptions:
 class TestWaldCi:
     def test_z_value(self, students):
         fit = fit_clfrd(students)
-        ci = wald_ci(fit, 0.95)
+        ci = fit.ci
         z = (ci["alpha"][1] - fit.params["alpha"]) / fit.std_errors["alpha"]
         assert z == pytest.approx(1.959964, abs=1e-6)
 
     def test_width_identity(self, students):
-        fit = fit_clfrd(students)
-        ci = wald_ci(fit, 0.9)
-        from scipy.special import ndtri
-
+        fit = fit_clfrd(students, ci_level=0.9)
         z = ndtri(0.95)
-        for name, (lo, hi) in ci.items():
+        for name, (lo, hi) in fit.ci.items():
             assert hi - lo == pytest.approx(2.0 * z * fit.std_errors[name], rel=1e-12)
 
     def test_simulated_coverage(self):
@@ -520,11 +515,6 @@ class TestBaselineFits:
         fit = fit_model("lfrd", students * 1e6)
         assert fit.boundary
         assert fit.message == "parameter at edge of search region"
-
-    def test_fit_baselines_keys(self, students):
-        fits = fit_baselines(students)
-        assert set(fits) == {"lfrd", "rd", "ed", "ged"}
-        assert all(f.converged for f in fits.values())
 
     def test_unknown_model(self, students):
         with pytest.raises(ValueError):

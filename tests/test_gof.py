@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.special import kolmogorov
+from scipy.stats import kstwo
 
 import clfrd
 from clfrd import (
@@ -65,18 +66,15 @@ class TestKsTest:
         )
         assert stat == pytest.approx(brute, abs=1e-15)
 
-    def test_exact_switch(self, appliances, students):
-        # untied small samples use the exact null law, tied ones the
-        # asymptotic limit: forcing the modes shows the difference
-        stat_a, p_auto_a = ks_test(appliances, P_RD_D2.cdf)
-        _, p_asym_a = ks_test(appliances, P_RD_D2.cdf, exact=False)
-        assert p_auto_a != p_asym_a  # no ties here, auto picks exact
-        _, p_auto_s = ks_test(students, P_CLFRD_D1.cdf)
-        _, p_asym_s = ks_test(students, P_CLFRD_D1.cdf, exact=False)
-        assert p_auto_s == p_asym_s  # ties force the asymptotic law
+    def test_exact_switch(self, appliances):
+        # appliances has no ties and n = 36 < 100: the exact null law
+        stat, pvalue = ks_test(appliances, P_RD_D2.cdf)
+        assert pvalue == kstwo.sf(stat, appliances.size)
+        assert pvalue != kolmogorov(math.sqrt(appliances.size) * stat)
 
     def test_asymptotic_uses_limit_law(self, students):
-        stat, pvalue = ks_test(students, P_CLFRD_D1.cdf, exact=False)
+        # students has ties, so the asymptotic limit law is chosen
+        stat, pvalue = ks_test(students, P_CLFRD_D1.cdf)
         assert pvalue == pytest.approx(kolmogorov(math.sqrt(students.size) * stat), abs=1e-15)
 
     def test_invalid_cdf_values(self):
