@@ -5,10 +5,11 @@ information matrix are implemented from a fresh differentiation of the
 likelihood and gated by finite-difference tests.
 
 One driver fits every family from a per-family table of raw kernels: the
-loglik with its score from one pass, the information and the starts.  One
-BFGS run over log-parameters (positivity by construction) from each start
-takes value and gradient from that kernel and is kept when its own final
-gradient meets the gate; its final value is the fit's loglik.
+loglik with its score from one pass, the information and the starts.  The
+starts are the rows of one unbounded L-BFGS-B run over log-parameters
+(positivity by construction) that takes value and gradient from that
+kernel; a row is kept when its gradient at its final point meets the
+gate, and its value there is the fit's loglik.
 
 The likelihood surface carries a flat ridge in the compounding parameter:
 as ``lam -> 0`` or ``lam -> inf`` (with the hazard parameters rescaled)
@@ -22,15 +23,16 @@ given start, the true parameters in the study, the standard design for
 studying the sampling behaviour of a local MLE on a ridged likelihood.
 Its gradient is L-BFGS-B's own forward difference, computed here in one
 numpy pass over the point and its three shifted copies, from each
-sample's sum and sum of squares taken once per block.  One loop runs
-scipy's ``setulb`` for a whole ``(reps, n)`` block of samples in lockstep,
-with scipy's OpenBLAS held to one thread: each round steps every
-unfinished row to its next function request and answers them all at
-once, in row passes of about 8192 observations.  Every row's iterates,
-iteration count and stop are those of ``minimize(method="L-BFGS-B")``
-with scipy's finite differences on that sample alone, bit for bit.  An
-estimate pinned at the ``1e-10`` lower bound is flagged in
-``LocalFits.at_bound``.
+sample's sum and sum of squares taken once per block, for a whole
+``(reps, n)`` block in row passes of about 8192 observations, with scipy's
+OpenBLAS held to one thread.  An estimate pinned at the ``1e-10`` lower
+bound is flagged in ``LocalFits.at_bound``.
+
+Both fits run one loop, ``_lbfgsb_lockstep``, which keeps a scipy
+``setulb`` state per row, steps every unfinished row to its next function
+request and answers them all at once.  Every row's iterates, iteration
+count and stop are those of scipy's L-BFGS-B ``minimize`` with the same
+settings on that row alone, bit for bit.
 
 The public ``clfrd_loglik``/``clfrd_score``/``clfrd_observed_information``
 and ``fit_*`` functions are the only validation point: they check the
@@ -51,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401  perfbench's tracer wraps it in this namespace
 from scipy.optimize._lbfgsb import setulb
 from scipy.special import ndtri
 
@@ -69,7 +71,8 @@ __all__ = [
     "fit_model",
 ]
 
-_MAX_ITERATIONS = 500  # BFGS cap of each start of the multistart driver
+_MAX_ITERATIONS = 500  # L-BFGS-B cap of each start of the multistart driver
+_FIT_FACTR, _FIT_PGTOL = 10.0, 1e-9  # its stops: ftol of 10 eps, gtol 1e-9
 _LOCAL_MAX_ITERATIONS = 100  # L-BFGS-B cap of the local fit
 _LOG_EDGE = 25.0  # |log parameter| beyond this marks a ridge/boundary fit
 _LOG_WALL = 600.0  # objective returns +inf past here to keep exp() finite
@@ -77,11 +80,11 @@ _GRADIENT_GATE = 1e-5  # scaled sup-norm of the log-scale gradient a fit must re
 _LOCAL_LOWER = 1e-10  # lower bound of every parameter in the local search
 _FD_STEP = 1e-8  # L-BFGS-B's default absolute finite-difference step
 _FD_FALLBACK = math.sqrt(np.finfo(float).eps)  # scipy's relative step when 1e-8 vanishes
-# L-BFGS-B's default cap of 15000 evaluations, which counted each of the
-# four points of a finite-difference gradient; one call now covers all four
-_FD_MAXFUN = 15000 // 4
+# L-BFGS-B's default cap of evaluations; the local fit's is a quarter of it, as
+# scipy counts each of a finite-difference gradient's four points, one call here
+_MAXFUN = 15000
 _PASS_SIZE = 8192  # observations per _neg_loglik_fd pass of the lockstep fits
-# the rest of minimize(method="L-BFGS-B")'s defaults, as setulb takes them
+# the rest of scipy's L-BFGS-B defaults, as setulb takes them
 _LBFGSB_M = 10
 _LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps  # from its ftol
 _LBFGSB_PGTOL = 1e-5
@@ -194,7 +197,7 @@ def _hazard_starts(x: np.ndarray) -> list[tuple[float, float]]:
 
 
 def _default_starts(x: np.ndarray) -> list[tuple[float, float, float]]:
-    return [(a0, b0, l0) for a0, b0 in _hazard_starts(x)[:2] for l0 in (0.1, 1.0, 3.0)]
+    return [(a0, b0, l0) for a0, b0 in _hazard_starts(x)[:2] for l0 in (0.1, 1.0, 10.0, 100.0, 1000.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -274,26 +277,27 @@ def _fit_multistart(name: str, x: np.ndarray, ci_level: float) -> FitResult:
         raise ValueError("ci_level must lie in (0, 1)")
     family = _FAMILIES[name]
 
-    def objective(lt):
-        # -loglik and its log-scale gradient; the value is +inf past the
-        # wall, the gradient that at the clipped point, so exp() stays finite
-        theta = np.exp(np.clip(lt, -_LOG_WALL, _LOG_WALL))
-        loglik, score = family.loglik_score(theta, x)
-        return (math.inf if np.any(np.abs(lt) > _LOG_WALL) else -loglik), -score * theta
+    def evaluate(rows, points):
+        # -loglik and its log-scale gradient at each row's point; the value is
+        # +inf past the wall, the gradient that at the clipped point, so exp() stays finite
+        theta = np.exp(np.clip(points, -_LOG_WALL, _LOG_WALL))
+        logliks, scores = zip(*(family.loglik_score(t, x) for t in theta))
+        f = np.where(np.any(np.abs(points) > _LOG_WALL, axis=1), math.inf, np.negative(logliks))
+        return f, -np.array(scores) * theta
 
-    best = None
-    total_iter = 0
-    for start in family.starts(x):
-        res = minimize(objective, np.log(start), jac=True, method="BFGS",
-                       options=dict(maxiter=_MAX_ITERATIONS, gtol=1e-9))
-        total_iter += res.nit
-        # res.jac and res.fun are BFGS's own evaluation at res.x
-        if np.max(np.abs(res.jac)) / x.size < _GRADIENT_GATE and np.isfinite(res.fun):
-            if best is None or -res.fun > best[0]:
-                best = (-res.fun, res.x)
-    if best is None:
-        raise NonConvergenceError(f"{name}: no start satisfied the gradient gate")
-    ll, lt = best
+    starts = np.log(family.starts(x))
+    fits = _lbfgsb_lockstep(evaluate, starts, None, _FIT_FACTR, _FIT_PGTOL, _MAX_ITERATIONS, _MAXFUN)
+    # value and gradient at each row's final point: after a failed line search
+    # setulb returns the previous iterate, not the point last evaluated
+    f, g = evaluate(None, fits.theta)
+    gradient = np.max(np.abs(g), axis=1) / x.size
+    passed = (gradient < _GRADIENT_GATE) & np.isfinite(f)
+    if not passed.any():
+        raise NonConvergenceError(f"{name}: no start satisfied the gradient gate; the smallest scaled "
+                                  f"gradient of its {len(starts)} starts is {gradient.min():.3g}, "
+                                  f"with a cap of {_MAX_ITERATIONS} iterations")
+    best = int(np.argmin(np.where(passed, f, math.inf)))  # ties keep the earliest start
+    ll, lt = -float(f[best]), fits.theta[best]
     boundary = bool(np.any(np.abs(lt) > _LOG_EDGE))
     ridge = " (flat compounding ridge)" if name == "clfrd" else ""
     message = f"parameter at edge of search region{ridge}" if boundary else ""
@@ -310,20 +314,9 @@ def _fit_multistart(name: str, x: np.ndarray, ci_level: float) -> FitResult:
         std = {nm: float(math.sqrt(covariance[i, i])) for i, nm in enumerate(model.param_names)}
         z = float(ndtri(0.5 + ci_level / 2.0))
         ci = {nm: (est - z * std[nm], est + z * std[nm]) for nm, est in model.params().items()}
-    return FitResult(
-        model=model,
-        params=model.params(),
-        loglik=ll,
-        neg2_loglik=-2.0 * ll,
-        covariance=covariance,
-        std_errors=std,
-        ci=ci,
-        ci_level=ci_level,
-        converged=True,
-        iterations=total_iter,
-        boundary=boundary,
-        message=message,
-    )
+    return FitResult(model=model, params=model.params(), loglik=ll, neg2_loglik=-2.0 * ll,
+                     covariance=covariance, std_errors=std, ci=ci, ci_level=ci_level, converged=True,
+                     iterations=int(fits.nit.sum()), boundary=boundary, message=message)
 
 
 def _sample_sums(x: np.ndarray) -> np.ndarray:
@@ -469,58 +462,56 @@ def _one_blas_thread():
         set_(count)
 
 
-def _lbfgsb_lockstep(samples: np.ndarray, start: np.ndarray) -> LocalFits:
-    """Bounded L-BFGS-B from ``start`` on every row of a ``(reps, n)`` block.
+def _lbfgsb_lockstep(evaluate, start: np.ndarray, lower: float | None, factr: float, pgtol: float,
+                     max_iterations: int, max_evaluations: int):
+    """L-BFGS-B from every row of ``start``, the rows stepped in lockstep.
 
-    Each row keeps its own scipy ``setulb`` state, with the settings of
-    ``minimize(method="L-BFGS-B")`` on ``[1e-10, inf)`` bounds: m=10,
-    default ``factr`` and ``pgtol``, ``maxls=20``, the
-    ``_LOCAL_MAX_ITERATIONS`` and ``_FD_MAXFUN`` caps.  Each round steps
-    every active row to its next function request and answers all
-    requests with ``_neg_loglik_fd_passes``; a request at the point last
-    evaluated reuses that value, as scipy's ``ScalarFunction`` does.  Each
-    row's iterates, ``nit`` and stop are therefore those of ``minimize`` on
-    that sample alone, whatever else shares the block.  The rows' sums
-    are taken once, and the active rows' samples are gathered again only
-    when a row stops.
+    ``evaluate(rows, points)`` returns the objective and its gradient at
+    ``points``, the iterates of ``rows`` (a slice or index array).  Every
+    parameter has the lower bound ``lower``, the start clipped to it, or
+    none.  Each row keeps its own scipy ``setulb`` state with m=10,
+    ``maxls=20`` and the given stops and caps, as scipy's L-BFGS-B
+    ``minimize`` sets them.  Each round steps every active row to its next
+    function request and answers them all with one ``evaluate`` call; a
+    request at the point last evaluated reuses that value, as scipy's
+    ``ScalarFunction`` does.  So each row's iterates, ``nit`` and stop are
+    ``minimize``'s on that row alone, whatever else shares the run.
     """
-    reps, dim = samples.shape[0], 3
-    sums = _sample_sums(samples)
-    x = np.tile(np.maximum(start, _LOCAL_LOWER), (reps, 1))
+    reps, dim = start.shape
+    x = start.copy() if lower is None else np.maximum(start, lower)
     # scipy evaluates the start before the first step
-    f, g = _neg_loglik_fd_passes(x, samples, sums)
+    active, rows = list(range(reps)), slice(None)
+    f, g = evaluate(rows, x)
     evaluated_at = x.tolist()
-    nit = [0] * reps
-    nfev = [1] * reps
+    nit, nfev = [0] * reps, [1] * reps
     task = np.zeros((reps, 2), dtype=np.int32)
     workspace = list(zip(
         x, g, np.zeros((reps, 2 * _LBFGSB_M * dim + 5 * dim + 11 * _LBFGSB_M**2 + 8 * _LBFGSB_M)),
         np.zeros((reps, 3 * dim), dtype=np.int32), task, np.zeros((reps, 4), dtype=np.int32),
         np.zeros((reps, 44), dtype=np.int32), np.zeros((reps, 29)), np.zeros((reps, 2), dtype=np.int32),
     ))
-    lower, upper = np.full(dim, _LOCAL_LOWER), np.zeros(dim)
-    bound_kind = np.ones(dim, dtype=np.int32)  # lower bound only
+    low, upper = np.full(dim, 0.0 if lower is None else lower), np.zeros(dim)
+    bound_kind = np.full(dim, lower is not None, dtype=np.int32)  # lower bound only, or none
 
     def requests_new_point(i: int) -> bool:
         # scipy's _minimize_lbfgsb loop for row i, up to its next
         # evaluation (True) or its stop (False)
         xi, gi, wa, iwa, ti, lsave, isave, dsave, ln_task = workspace[i]
         while True:
-            setulb(_LBFGSB_M, xi, lower, upper, bound_kind, f[i], gi, _LBFGSB_FACTR,
-                   _LBFGSB_PGTOL, wa, iwa, ti, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+            setulb(_LBFGSB_M, xi, low, upper, bound_kind, f[i], gi, factr,
+                   pgtol, wa, iwa, ti, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
             if ti[0] == _TASK_FG:
                 if xi.tolist() != evaluated_at[i]:
                     return True
             elif ti[0] == _TASK_NEW_X:
                 nit[i] += 1
-                if nit[i] >= _LOCAL_MAX_ITERATIONS:
+                if nit[i] >= max_iterations:
                     ti[:] = _TASK_STOP, _TASK_ITERATION_CAP
-                elif nfev[i] > _FD_MAXFUN:
+                elif nfev[i] > max_evaluations:
                     ti[:] = _TASK_STOP, _TASK_EVALUATION_CAP
             else:
                 return False
 
-    active, rows, block, block_sums = list(range(reps)), slice(None), samples, sums
     while True:
         requesting = [i for i in active if requests_new_point(i)]
         if not requesting:
@@ -530,10 +521,9 @@ def _lbfgsb_lockstep(samples: np.ndarray, start: np.ndarray) -> LocalFits:
             # consecutive rows, a lone straggler among them, index as a view
             first, end = active[0], active[-1] + 1
             rows = slice(first, end) if end - first == len(active) else np.array(active)
-            block, block_sums = samples[rows], sums[rows]
-        theta = x[rows]
-        f[rows], g[rows] = _neg_loglik_fd_passes(theta, block, block_sums)
-        for i, point in zip(active, theta.tolist()):
+        points = x[rows]
+        f[rows], g[rows] = evaluate(rows, points)
+        for i, point in zip(active, points.tolist()):
             evaluated_at[i] = point
             nfev[i] += 1
     return LocalFits(x, np.array(nit), task, np.array(nfev))
@@ -546,7 +536,7 @@ def fit_clfrd_block(samples, start) -> LocalFits:
     natural-scale ``(alpha, beta, lam)`` every row starts from; both are
     validated once here.  Each row's result is what the same call on
     that row alone reports, bit for bit, and what scipy's
-    ``minimize(method="L-BFGS-B")`` gives on that sample with bounds
+    L-BFGS-B ``minimize`` gives on that sample with bounds
     ``[1e-10, inf)`` and at most 100 iterations.  scipy's OpenBLAS runs
     on one thread during the fits and gets its thread count back after.
     """
@@ -558,17 +548,24 @@ def fit_clfrd_block(samples, start) -> LocalFits:
     if theta0.shape != (3,) or not np.all(np.isfinite(theta0) & (theta0 > 0.0)):
         raise ValueError(f"fit_clfrd_block: start must be 3 finite, strictly positive values, "
                          f"got {start!r}")
+    sums = _sample_sums(block)
+
+    def evaluate(rows, points):
+        return _neg_loglik_fd_passes(points, block[rows], sums[rows])
+
     with _one_blas_thread():
-        return _lbfgsb_lockstep(block, theta0)
+        return _lbfgsb_lockstep(evaluate, np.tile(theta0, (len(block), 1)), _LOCAL_LOWER, _LBFGSB_FACTR,
+                                _LBFGSB_PGTOL, _LOCAL_MAX_ITERATIONS, _MAXFUN // 4)
 
 
 def fit_clfrd(data, ci_level: float = 0.95) -> FitResult:
     """Maximum-likelihood fit of the compounded model.
 
     The multistart driver over log-parameters from a deterministic grid of
-    moment-based seeds (``alpha0 = 1/mean``, ``beta0 = 1/mean^2``, ``lam0``
-    in {0.1, 1, 3} plus scaled variants).  Returns the best point passing
-    the scaled-gradient gate, with Wald intervals at ``ci_level``;
+    moment-based seeds (``alpha0 = 1/mean``, ``beta0 = 1/mean^2`` and a
+    scaled variant, each with ``lam0`` on the decade ladder 0.1 to 1000, a
+    start near each mode in lam).  Returns the best point passing the
+    scaled-gradient gate, with Wald intervals at ``ci_level``;
     deterministic ties keep the earliest start.
 
     Raises ``NonConvergenceError`` when no start converges.  A singular

@@ -99,10 +99,10 @@ class TestPinnedFitOutput:
     PINNED = {
         ("compare", "students"): "6f3689bbdef37e2bbb99e5b1cb053abd881f4c5899a552a7d1e742982a6e41a8",
         ("compare", "appliances"): "3b28ba73a6fb5f85f792dd72129a79969d3936b2dcedd41ec0cfc8be0156483e",
-        ("compare", "devices"): "23a2004b75897dd3c5a5f7ac39613453b3adc4b0d9f63fc5500b57a7817d5234",
-        ("fit", "students"): "c4ea27d813edf9fb271c85025cf2ce5755890c22ce77c2b662de313d3b070670",
-        ("fit", "appliances"): "9c1c5f3da5c84dc31e7e0065899040e4a83b18aa68c1bfd07ad9190e1b166726",
-        ("fit", "devices"): "911e08e3f08366d93d0bed2a737bad6b44cb8345110f15164cae9be2cc1378ad",
+        ("compare", "devices"): "9e7b5652385ba47995ca2ed833e60d1a693d0a5fabba37e95356ed52e207c4d0",
+        ("fit", "students"): "30104151a0f77da12613197f3626b33ce8c00a8c7aacc39b45e8ea6926c5f654",
+        ("fit", "appliances"): "ed4ad30326780b4b50e814a3a03013509f22a12a84c615a8d839cf8707dad977",
+        ("fit", "devices"): "cce53a781842db6c02bb9320bb732aab5685e1c0a7f20f1ff7a8a5e8d814ffa3",
     }
 
     @pytest.mark.parametrize("command, dataset", sorted(PINNED))

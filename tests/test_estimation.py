@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -569,13 +570,98 @@ class TestFittingDriver:
 
     @pytest.mark.parametrize("name", ["lfrd", "ged"])
     def test_no_start_passing_the_gate_raises(self, name, students, monkeypatch):
-        # one BFGS iteration from each start stops short of the gate
+        # one L-BFGS-B iteration from each start stops short of the gate
         monkeypatch.setattr(estimation, "_MAX_ITERATIONS", 1)
         with pytest.raises(NonConvergenceError, match="gradient gate"):
             fit_model(name, students)
+
+    @pytest.mark.parametrize("name, set_id, n, seed", [("clfrd", 2, 36, 1), ("clfrd", 2, 36, 2),
+                                                       ("lfrd", 2, 36, 8), ("ged", 2, 50, 4)])
+    def test_loglik_is_the_kernel_value_at_the_estimate(self, name, set_id, n, seed):
+        # each of these samples has a start whose run ends in a failed line
+        # search, after which the last value setulb was given is the failed
+        # trial's, not the value at the point it returns
+        x = sample_inverse(DEFAULT_PARAMETER_SETS[set_id - 1], n, SeededStream(seed, 0))
+        fit = fit_model(name, x)
+        assert fit.loglik == _FAMILIES[name].loglik_score(fit.model.to_vector(), x)[0]
+
+    def test_gate_failure_names_the_starts_and_the_smallest_gradient(self, students, monkeypatch):
+        monkeypatch.setattr(estimation, "_MAX_ITERATIONS", 1)
+        with pytest.raises(NonConvergenceError) as failure:
+            fit_model("ged", students)
+        found = re.search(r"smallest scaled gradient of its 3 starts is (\S+), with a cap of 1 iterations",
+                          str(failure.value))
+        assert found and float(found.group(1)) >= 1e-5
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, math.nan])
     def test_ci_level_outside_the_unit_interval_raises(self, level, students):
         for name in MODEL_REGISTRY:
             with pytest.raises(ValueError, match="ci_level"):
                 fit_model(name, students, level)
+
+
+def log_scale_objective(name, x):
+    # reference: -loglik and its log-scale gradient at one start's point,
+    # +inf past the wall, as the multistart evaluates each row
+    kernel, wall = _FAMILIES[name].loglik_score, estimation._LOG_WALL
+
+    def objective(lt):
+        theta = np.exp(np.clip(lt, -wall, wall))
+        loglik, score = kernel(theta, x)
+        return (math.inf if np.any(np.abs(lt) > wall) else -loglik), -score * theta
+
+    return objective
+
+
+class TestMultistartRows:
+    # every start of a family is one row of one lockstep run; each row must
+    # be scipy's own L-BFGS-B run from that start
+    OPTIONS = dict(maxcor=10, ftol=10 * np.finfo(float).eps, gtol=1e-9, maxiter=500, maxls=20)
+
+    @pytest.mark.parametrize("name", ["clfrd", "lfrd", "ged"])
+    @pytest.mark.parametrize("dataset", TestFittingDriver.DATASETS)
+    def test_each_start_is_scipys_lbfgsb_run(self, name, dataset, monkeypatch):
+        x = builtin(dataset).values
+        runs = []
+        lockstep = estimation._lbfgsb_lockstep
+
+        def recording(*args):
+            runs.append(lockstep(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(estimation, "_lbfgsb_lockstep", recording)
+        fit = fit_model(name, x)
+        (fits,) = runs
+        starts = _FAMILIES[name].starts(x)
+        assert len(fits.theta) == len(starts) and fit.iterations == fits.nit.sum()
+        for row, start in enumerate(starts):
+            ref = minimize(log_scale_objective(name, x), np.log(start), jac=True, method="L-BFGS-B",
+                           options=self.OPTIONS)
+            np.testing.assert_array_equal(fits.theta[row], ref.x, err_msg=str(row))
+            assert fits.nit[row] == ref.nit, row
+            assert fits.nfev[row] == ref.nfev, row
+
+    def test_clfrd_starts_lam_on_a_decade_ladder(self, students):
+        lams = [start[2] for start in _FAMILIES["clfrd"].starts(students)]
+        assert lams == [0.1, 1.0, 10.0, 100.0, 1000.0] * 2
+
+
+class TestNesting:
+    # the compounded model holds the linear-failure-rate law at its lam -> 0
+    # edge, so the clfrd fit may not end below the lfrd fit
+
+    @pytest.mark.parametrize("dataset", TestFittingDriver.DATASETS)
+    def test_clfrd_is_not_below_lfrd_on_the_datasets(self, dataset):
+        x = builtin(dataset).values
+        assert fit_clfrd(x).loglik >= fit_model("lfrd", x).loglik - 1e-9
+
+    @pytest.mark.parametrize("set_id", [1, 5, 8])
+    def test_clfrd_is_not_below_lfrd_on_small_samples(self, set_id):
+        for seed in range(10):
+            x = sample_inverse(DEFAULT_PARAMETER_SETS[set_id - 1], 36, SeededStream(seed, 0))
+            assert fit_clfrd(x).loglik >= fit_model("lfrd", x).loglik - 1e-9, seed
+
+    def test_devices_clfrd_reaches_the_lfrd_value(self, devices):
+        # the devices supremum is the LFR edge of the ridge: the clfrd fit
+        # may gain nothing over lfrd beyond rounding
+        assert abs(fit_clfrd(devices).neg2_loglik - fit_model("lfrd", devices).neg2_loglik) <= 1e-6
