@@ -9,7 +9,9 @@ loglik with its score from one pass, the information and the starts.  The
 starts are the rows of one unbounded L-BFGS-B run over log-parameters
 (positivity by construction) that takes value and gradient from that
 kernel; a row is kept when its gradient at its final point meets the
-gate, and its value there is the fit's loglik.
+gate, and its value there is the fit's loglik.  The loglik kernel takes
+a ``(k, d)`` stack of points, each row broadcast against the data in one
+numpy pass, so one kernel call per round answers every active start.
 
 The likelihood surface carries a flat ridge in the compounding parameter:
 as ``lam -> 0`` or ``lam -> inf`` (with the hazard parameters rescaled)
@@ -128,30 +130,35 @@ def _check_data(data, minimum_size=1) -> np.ndarray:
 # check their arguments once and call these
 
 
-def _loglik_score(theta: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+def _loglik_score(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log-likelihood and its exact gradient in (alpha, beta, lam), from one pass.
+
+    ``theta`` is one point ``(3,)`` or a ``(k, 3)`` stack of them, every
+    row broadcast against ``x`` in the same numpy pass; row ``i`` of the
+    result is the call on ``theta[i]`` alone, bit for bit.
 
     The log-density is summed in its expanded form ``-y - lam + lam*e``,
     which cancels at large lam (``Clfrd.log_pdf`` uses the exact
     ``lam*expm1(-y)``): the study's ``_neg_loglik_fd`` writes the same
     expressions in the same order, so its value is ``-loglik`` bit for bit.
     """
-    a, b, lam = theta
-    y = a * x + 0.5 * b * x * x
+    a, b, lam = theta[..., 0], theta[..., 1], theta[..., 2]
+    ac, bc = a[..., None], b[..., None]
+    y = ac * x + 0.5 * bc * x * x
     e = np.exp(-y)
-    le = lam * e
+    le = lam[..., None] * e
     d = 1.0 + le
-    lin = a + b * x
+    lin = ac + bc * x
     xx = x * x
     sx, sxx = x.sum(), xx.sum()
     xe, xxe = x * e, xx * e
-    loglik = float(
-        -x.size * lam - a * sx - 0.5 * b * sxx + lam * e.sum() + np.log(lin).sum() + np.log1p(le).sum()
-    )
-    da = -sx - lam * xe.sum() + (1.0 / lin).sum() - lam * (xe / d).sum()
-    db = -0.5 * sxx - 0.5 * lam * xxe.sum() + (x / lin).sum() - 0.5 * lam * (xxe / d).sum()
-    dl = -float(x.size) + e.sum() + (e / d).sum()
-    return loglik, np.array([da, db, dl])
+    loglik = (-x.size * lam - a * sx - 0.5 * b * sxx + lam * e.sum(axis=-1) + np.log(lin).sum(axis=-1)
+              + np.log1p(le).sum(axis=-1))
+    da = -sx - lam * xe.sum(axis=-1) + (1.0 / lin).sum(axis=-1) - lam * (xe / d).sum(axis=-1)
+    db = (-0.5 * sxx - 0.5 * lam * xxe.sum(axis=-1) + (x / lin).sum(axis=-1)
+          - 0.5 * lam * (xxe / d).sum(axis=-1))
+    dl = -float(x.size) + e.sum(axis=-1) + (e / d).sum(axis=-1)
+    return loglik, np.stack([da, db, dl], axis=-1)
 
 
 def _information(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -173,7 +180,7 @@ def _information(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def clfrd_loglik(model: Clfrd, data) -> float:
     """Log-likelihood of strictly positive observations under the model."""
-    return _loglik_score(model.to_vector(), _check_data(data))[0]
+    return float(_loglik_score(model.to_vector(), _check_data(data))[0])
 
 
 def clfrd_score(model: Clfrd, data) -> np.ndarray:
@@ -206,11 +213,18 @@ def _default_starts(x: np.ndarray) -> list[tuple[float, float, float]]:
 # one through the public method bit for bit
 
 
-def _lfr_loglik_score(theta: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    a, b = theta
+def _math_log(v: np.ndarray) -> np.ndarray:
+    # math.log of each entry: np.log differs from it in the last bit on some
+    # arguments, and the classes' log_pdf take their constants from math.log
+    return np.reshape([math.log(t) for t in v.ravel().tolist()], v.shape)
+
+
+def _lfr_loglik_score(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a, b = theta[..., 0, None], theta[..., 1, None]
     lin = a + b * x
-    loglik = float(np.sum(np.log(lin) - a * x - 0.5 * b * x * x))
-    return loglik, np.array([(1.0 / lin).sum() - x.sum(), (x / lin).sum() - 0.5 * (x * x).sum()])
+    loglik = np.sum(np.log(lin) - a * x - 0.5 * b * x * x, axis=-1)
+    return loglik, np.stack([(1.0 / lin).sum(axis=-1) - x.sum(),
+                             (x / lin).sum(axis=-1) - 0.5 * (x * x).sum()], axis=-1)
 
 
 def _lfr_information(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -221,14 +235,16 @@ def _lfr_information(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     )
 
 
-def _ged_loglik_score(theta: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    r, s = theta
-    em = -np.expm1(-r * x)  # 1 - e^(-rx)
+def _ged_loglik_score(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    r, s = theta[..., 0], theta[..., 1]
+    rc, sc = r[..., None], s[..., None]
+    em = -np.expm1(-rc * x)  # 1 - e^(-rx)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_em = np.log(em)
-        loglik = float(np.sum(math.log(s * r) - r * x + (s - 1.0) * log_em))
-    ratio = x * np.exp(-r * x) / em
-    return loglik, np.array([x.size / r - x.sum() + (s - 1.0) * ratio.sum(), x.size / s + log_em.sum()])
+        loglik = np.sum(_math_log(sc * rc) - rc * x + (sc - 1.0) * log_em, axis=-1)
+    ratio = x * np.exp(-rc * x) / em
+    return loglik, np.stack([x.size / r - x.sum() + (s - 1.0) * ratio.sum(axis=-1),
+                             x.size / s + log_em.sum(axis=-1)], axis=-1)
 
 
 def _ged_information(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -241,7 +257,9 @@ def _ged_information(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 # Raw kernels of one family in its natural parameters theta:
-# loglik_score(theta, x) -> (loglik, score), information(theta, x) and starts(x)
+# loglik_score(theta, x) -> (loglik, score), information(theta, x) and starts(x).
+# loglik_score takes one point (d,) or a (k, d) stack, whose row i is the
+# call on theta[i] alone, bit for bit; information takes one point
 _Family = namedtuple("_Family", "loglik_score information starts")
 
 # Keyed like MODEL_REGISTRY.  The exponential and Rayleigh starts are their
@@ -250,13 +268,13 @@ _FAMILIES = {
     "clfrd": _Family(_loglik_score, _information, _default_starts),
     "lfrd": _Family(_lfr_loglik_score, _lfr_information, _hazard_starts),
     "rd": _Family(
-        lambda t, x: (float(np.sum(np.log(x) - 2.0 * math.log(t[0]) - x * x / (2.0 * t[0] * t[0]))),
-                      np.array([(x * x).sum() / t[0] ** 3 - 2.0 * x.size / t[0]])),
+        lambda t, x: (np.sum(np.log(x) - 2.0 * _math_log(t) - x * x / (2.0 * t * t), axis=-1),
+                      (x * x).sum() / t ** 3 - 2.0 * x.size / t),
         lambda t, x: np.array([[3.0 * (x * x).sum() / t[0] ** 4 - 2.0 * x.size / t[0] ** 2]]),
         lambda x: [(math.sqrt(float((x * x).sum()) / (2.0 * x.size)),)],
     ),
     "ed": _Family(
-        lambda t, x: (float(np.sum(math.log(t[0]) - t[0] * x)), np.array([x.size / t[0] - x.sum()])),
+        lambda t, x: (np.sum(_math_log(t) - t * x, axis=-1), x.size / t - x.sum()),
         lambda t, x: np.array([[x.size / t[0] ** 2]]),
         lambda x: [(x.size / float(x.sum()),)],
     ),
@@ -278,12 +296,13 @@ def _fit_multistart(name: str, x: np.ndarray, ci_level: float) -> FitResult:
     family = _FAMILIES[name]
 
     def evaluate(rows, points):
-        # -loglik and its log-scale gradient at each row's point; the value is
-        # +inf past the wall, the gradient that at the clipped point, so exp() stays finite
+        # -loglik and its log-scale gradient at every active start's point, from
+        # one kernel call on their stack; the value is +inf past the wall, the
+        # gradient that at the clipped point, so exp() stays finite
         theta = np.exp(np.clip(points, -_LOG_WALL, _LOG_WALL))
-        logliks, scores = zip(*(family.loglik_score(t, x) for t in theta))
-        f = np.where(np.any(np.abs(points) > _LOG_WALL, axis=1), math.inf, np.negative(logliks))
-        return f, -np.array(scores) * theta
+        loglik, score = family.loglik_score(theta, x)
+        f = np.where(np.any(np.abs(points) > _LOG_WALL, axis=1), math.inf, np.negative(loglik))
+        return f, -score * theta
 
     starts = np.log(family.starts(x))
     fits = _lbfgsb_lockstep(evaluate, starts, None, _FIT_FACTR, _FIT_PGTOL, _MAX_ITERATIONS, _MAXFUN)

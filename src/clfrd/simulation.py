@@ -173,7 +173,7 @@ def run_study(cfg: StudyConfig | None = None) -> list[SimulationSummary]:
     """Cartesian product of parameter sets and sample sizes.
 
     Deterministic for a given ``base_seed``: every cell derives its own
-    seed from (set index, size index), and every replication gets an
+    seed from (set label, sample size ``n``), and every replication gets an
     independent stream, so aggregation order cannot matter.
     """
     cfg = cfg or StudyConfig()
