@@ -34,7 +34,11 @@ Both fits run one loop, ``_lbfgsb_lockstep``, which keeps a scipy
 ``setulb`` state per row, steps every unfinished row to its next function
 request and answers them all at once.  Every row's iterates, iteration
 count and stop are those of scipy's L-BFGS-B ``minimize`` with the same
-settings on that row alone, bit for bit.
+settings on that row alone, bit for bit.  ``setulb`` is loaded from
+scipy's L-BFGS-B extension file alone and the Wald ``z`` comes from
+``statistics.NormalDist``, so importing this module loads numpy, the root
+``scipy`` package and that one extension, but not ``scipy.optimize`` or
+``scipy.special``.
 
 The public ``clfrd_loglik``/``clfrd_score``/``clfrd_observed_information``
 and ``fit_*`` functions are the only validation point: they check the
@@ -50,14 +54,14 @@ import math
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
 import scipy
-from scipy.optimize import minimize  # noqa: F401  perfbench's tracer wraps it in this namespace
-from scipy.optimize._lbfgsb import setulb
-from scipy.special import ndtri
 
 from .distributions import Clfrd, LifetimeModel, MODEL_REGISTRY
 
@@ -94,6 +98,54 @@ _LBFGSB_MAXLS = 20
 # setulb's task codes: (status, reason)
 _TASK_FG, _TASK_NEW_X, _TASK_CONVERGENCE, _TASK_STOP = 3, 1, 4, 5
 _TASK_EVALUATION_CAP, _TASK_ITERATION_CAP = 502, 504
+
+
+def _lbfgsb_extension() -> Path | None:
+    """scipy's compiled L-BFGS-B module, ``scipy/optimize/_lbfgsb.<suffix>``, or None."""
+    directory = Path(scipy.__file__).parent / "optimize"
+    for suffix in EXTENSION_SUFFIXES:
+        path = directory / f"_lbfgsb{suffix}"
+        if path.is_file():
+            return path
+    return None
+
+
+def _load_setulb():
+    """scipy's ``setulb``, loaded from its extension file alone.
+
+    The plain import first imports the whole ``scipy.optimize`` package,
+    about 0.6 s of a cold start, while the extension needs only numpy.  A
+    scipy laid out otherwise, or whose extension does not load on its own,
+    gets the plain import.
+    """
+    path = _lbfgsb_extension()
+    if path is not None:
+        name = "scipy.optimize._lbfgsb"
+        loader = ExtensionFileLoader(name, str(path))
+        try:
+            module = module_from_spec(spec_from_file_location(name, path, loader=loader))
+            loader.exec_module(module)
+            return module.setulb
+        except (ImportError, OSError):
+            pass
+    from scipy.optimize._lbfgsb import setulb
+
+    return setulb
+
+
+setulb = _load_setulb()
+
+
+def __getattr__(name):
+    # only perfbench's tracer reads ``minimize`` here, to wrap it; nothing in
+    # the package calls it.  Bound on first access, so that importing this
+    # module does not import scipy.optimize.  Delete this with that binding.
+    if name != "minimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import minimize
+
+    globals()[name] = minimize
+    return minimize
 
 
 class NonConvergenceError(RuntimeError):
@@ -331,7 +383,7 @@ def _fit_multistart(name: str, x: np.ndarray, ci_level: float) -> FitResult:
     else:
         covariance = np.linalg.inv(info)
         std = {nm: float(math.sqrt(covariance[i, i])) for i, nm in enumerate(model.param_names)}
-        z = float(ndtri(0.5 + ci_level / 2.0))
+        z = NormalDist().inv_cdf(0.5 + ci_level / 2.0)
         ci = {nm: (est - z * std[nm], est + z * std[nm]) for nm, est in model.params().items()}
     return FitResult(model=model, params=model.params(), loglik=ll, neg2_loglik=-2.0 * ll,
                      covariance=covariance, std_errors=std, ci=ci, ci_level=ci_level, converged=True,

@@ -12,10 +12,9 @@ as known in either case, so p-values for fitted models carry the usual
 optimistic bias and are comparison scores rather than calibrated tests.
 The exact law is ``scipy.stats.kstwo`` and the limit is
 ``scipy.special.kolmogorov``, each imported in its own branch, and
-``compare_models`` imports ``estimation`` (and so ``scipy.optimize``)
-when it is called: the statistics themselves need numpy only, and
-``scipy.stats`` and ``scipy.optimize`` take about half a second each to
-import.
+``compare_models`` imports ``estimation`` (and so scipy's L-BFGS-B
+extension) when it is called: the statistics themselves need numpy only,
+and ``scipy.stats`` takes about half a second to import.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ work is scheduled.
 The default study runs the eight published triples,
 ``distributions.DEFAULT_PARAMETER_SETS``, from ``sampling.DEFAULT_SEED``.
 Both live with the objects they parametrize rather than here, since this
-module imports ``estimation`` and so ``scipy.optimize``.
+module imports ``estimation`` and so scipy's L-BFGS-B extension.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +52,6 @@ from .estimation import LocalFits, fit_clfrd_block
 from .estimation import fit_clfrd  # noqa: F401  perfbench's tracer wraps it in this namespace
 from .sampling import DEFAULT_SEED, SeededStream
 from .sampling import sample_inverse  # noqa: F401  perfbench's tracer wraps it in this namespace
-from scipy.special import ndtri
 
 __all__ = [
     "StudyConfig",
@@ -151,7 +151,7 @@ def run_cell(params: Clfrd, n: int, reps: int, seed: int,
         at_bound=int(np.sum(fits.at_bound[converged])),
     )
     if est.shape[0] >= 2:
-        z = float(ndtri(0.5 + ci_level / 2.0))
+        z = NormalDist().inv_cdf(0.5 + ci_level / 2.0)
         mean = est.mean(axis=0)
         sd = est.std(axis=0, ddof=1)
         bias = mean - truth

@@ -100,9 +100,9 @@ class TestPinnedFitOutput:
         ("compare", "students"): "6f3689bbdef37e2bbb99e5b1cb053abd881f4c5899a552a7d1e742982a6e41a8",
         ("compare", "appliances"): "3b28ba73a6fb5f85f792dd72129a79969d3936b2dcedd41ec0cfc8be0156483e",
         ("compare", "devices"): "9e7b5652385ba47995ca2ed833e60d1a693d0a5fabba37e95356ed52e207c4d0",
-        ("fit", "students"): "30104151a0f77da12613197f3626b33ce8c00a8c7aacc39b45e8ea6926c5f654",
-        ("fit", "appliances"): "ed4ad30326780b4b50e814a3a03013509f22a12a84c615a8d839cf8707dad977",
-        ("fit", "devices"): "cce53a781842db6c02bb9320bb732aab5685e1c0a7f20f1ff7a8a5e8d814ffa3",
+        ("fit", "students"): "7c59e240e6bc130d130a2991c0c19841c5933e4d97f06f2dfdca778724027701",
+        ("fit", "appliances"): "2aa4319f52af748e55dbba7823284ab42be6a769652f9ecca494f49126bd1c04",
+        ("fit", "devices"): "759cb3c272334c85636633d4d398fbe609f723999078614586e7abac0ec87013",
     }
 
     @pytest.mark.parametrize("command, dataset", sorted(PINNED))
@@ -115,7 +115,7 @@ class TestPinnedFitOutput:
 
     # the recovery study on sets 1 and 8: any change in a study estimate,
     # failure count or bound count changes these bytes
-    STUDY_PINNED = "b014b5e0ad00df84b15e1e13a17d063244339a541cb1559b73ef037f1852717c"
+    STUDY_PINNED = "eaa121379b8aec841b4c578027274edc38746cafaf3862b08dbc83643f4a1433"
 
     def test_study_json_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--sets", "1,8", "--sizes", "100",

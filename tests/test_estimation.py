@@ -350,6 +350,26 @@ def assert_same_fits(fits, rows, other, other_rows):
         assert tuple(fits.task[i]) == tuple(other.task[j]), i
 
 
+@pytest.mark.parametrize("extension", [None, "not_an_extension.so"])
+def test_plain_import_supplies_setulb(monkeypatch, tmp_path, extension):
+    # a scipy without the extension file where its wheels put it, or with
+    # one that does not load on its own, gets setulb through scipy.optimize
+    from scipy.optimize._lbfgsb import setulb
+
+    path = None
+    if extension is not None:
+        path = tmp_path / extension
+        path.write_bytes(b"not a shared object")
+    monkeypatch.setattr(estimation, "_lbfgsb_extension", lambda: path)
+    fallback = estimation._load_setulb()
+    assert fallback is setulb
+    truth = DEFAULT_PARAMETER_SETS[0].to_vector()
+    x = cell_sample(1, 100, 31)[None]
+    loaded = fit_clfrd_block(x, truth)
+    monkeypatch.setattr(estimation, "setulb", fallback)
+    assert_same_fits(fit_clfrd_block(x, truth), [0], loaded, [0])
+
+
 class TestLockstepFits:
     # the study's blocks: replications drawn by run_cell's streams, fitted
     # from the truth with its iteration cap of 100
@@ -500,6 +520,15 @@ class TestWaldCi:
         z = ndtri(0.95)
         for name, (lo, hi) in fit.ci.items():
             assert hi - lo == pytest.approx(2.0 * z * fit.std_errors[name], rel=1e-12)
+
+    @pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99])
+    def test_z_matches_mpmath(self, students, level):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = float(mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(level)))
+        fit = fit_clfrd(students, ci_level=level)
+        for name, (_, hi) in fit.ci.items():
+            assert (hi - fit.params[name]) / fit.std_errors[name] == pytest.approx(want, rel=1e-14), name
 
     def test_simulated_coverage(self):
         # set 8 at n = 300: empirical alpha coverage of the 95% Wald interval

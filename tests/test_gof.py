@@ -230,6 +230,17 @@ def test_cold_start_loads_no_scipy(code):
     assert out.splitlines()[-1] == "[]"
 
 
+def test_fit_and_study_leave_scipy_optimize_linalg_and_special_unloaded():
+    # setulb comes from its extension file and the Wald z from the standard library
+    code = ("import sys, clfrd.simulation; "
+            "from clfrd import DEFAULT_PARAMETER_SETS, StudyConfig, builtin, fit_clfrd, run_study; "
+            "fit_clfrd(builtin('students').values); "
+            "run_study(StudyConfig(parameter_sets=DEFAULT_PARAMETER_SETS[7:], sample_sizes=(100,), "
+            "replications=5, set_labels=(8,))); "
+            "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.special') if m in sys.modules])")
+    assert _fresh_interpreter(code) == "[]"
+
+
 def test_star_import_binds_every_public_name():
     code = "import clfrd; from clfrd import *; print([n for n in clfrd.__all__ if n not in globals()])"
     assert _fresh_interpreter(code) == "[]"
