@@ -67,6 +67,13 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(args, payload: dict, seed=None) -> None:
+    # strict JSON: a NaN or infinity raises ValueError rather than writing a bare token
+    if not args.no_meta:
+        payload = {"meta": _meta(seed), **payload}
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
+
+
 def _rows_to_csv(fieldnames, rows) -> str:
     buf = io.StringIO()
     writer = _csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
@@ -86,25 +93,7 @@ def _load_data(ref: str, raw: bool = False):
     return load_csv(ref)
 
 
-def _render_fit(fit, fmt: str, no_meta: bool) -> str:
-    payload = {
-        "model": fit.model.name,
-        "params": fit.params,
-        "loglik": fit.loglik,
-        "neg2_loglik": fit.neg2_loglik,
-        "std_errors": fit.std_errors,
-        "ci_level": fit.ci_level,
-        "ci": {k: list(v) for k, v in fit.ci.items()} if fit.ci else None,
-        "covariance": fit.covariance.tolist() if fit.covariance is not None else None,
-        "converged": fit.converged,
-        "boundary": fit.boundary,
-        "iterations": fit.iterations,
-        "message": fit.message,
-    }
-    if fmt == "json":
-        if not no_meta:
-            payload = {"meta": _meta(), **payload}
-        return json.dumps(payload, indent=2) + "\n"
+def _render_fit_text(fit) -> str:
     lines = [f"model: {fit.model.name}"]
     for name, value in fit.params.items():
         se = f"  stderr {fit.std_errors[name]:.6g}" if fit.std_errors else ""
@@ -129,7 +118,23 @@ def _cmd_fit(args) -> int:
 
     data = _load_data(args.data, args.raw)
     fit = fit_model(args.model, data.values, args.level)
-    _emit(_render_fit(fit, args.format, args.no_meta), args.out)
+    if args.format == "json":
+        _emit_json(args, {
+            "model": fit.model.name,
+            "params": fit.params,
+            "loglik": fit.loglik,
+            "neg2_loglik": fit.neg2_loglik,
+            "std_errors": fit.std_errors,
+            "ci_level": fit.ci_level,
+            "ci": {k: list(v) for k, v in fit.ci.items()} if fit.ci else None,
+            "covariance": fit.covariance.tolist() if fit.covariance is not None else None,
+            "converged": fit.converged,
+            "boundary": fit.boundary,
+            "iterations": fit.iterations,
+            "message": fit.message,
+        })
+    else:
+        _emit(_render_fit_text(fit), args.out)
     return EXIT_OK
 
 
@@ -159,10 +164,9 @@ def _cmd_compare(args) -> int:
         for r in reports
     ]
     if args.format == "json":
-        payload: dict = {} if args.no_meta else {"meta": _meta()}
-        payload["dataset"] = args.data
-        payload["rows"] = rows
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        # a failed model's statistics are NaN, written as null
+        rows = [{k: None if v != v else v for k, v in row.items()} for row in rows]
+        _emit_json(args, {"dataset": args.data, "rows": rows})
     elif args.format == "csv":
         _emit(_rows_to_csv(_COMPARE_FIELDS, rows), args.out)
     else:
@@ -212,10 +216,7 @@ def _cmd_sample(args) -> int:
     draw = sample_inverse if args.method == "inverse" else sample_compound
     values = draw(model, args.n, stream)
     if args.format == "json":
-        payload: dict = {} if args.no_meta else {"meta": _meta(args.seed)}
-        payload["method"] = args.method
-        payload["values"] = [float(v) for v in values]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(args, {"method": args.method, "values": [float(v) for v in values]}, args.seed)
     else:
         _emit("\n".join(repr(float(v)) for v in values) + "\n", args.out)
     return EXIT_OK
@@ -259,9 +260,7 @@ def _cmd_props(args) -> int:
     }
     report["variance"] = report["second_moment"] - report["mean"] ** 2
     if args.format == "json":
-        payload: dict = {} if args.no_meta else {"meta": _meta()}
-        payload.update(report)
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(args, report)
     else:
         lines = [f"parameters: {report['params']}"]
         lines.append(f"pdf shape:    {report['pdf_shape']}")

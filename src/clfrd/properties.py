@@ -64,10 +64,15 @@ class PdfShape(enum.Enum):
 
 
 class HazardShape(enum.Enum):
+    """Shape of the hazard rate; every hazard ends increasing.
+
+    INVERSE_BATHTUB is the up-down-up shape ("+-+"): the hazard rises, dips
+    and rises again.
+    """
+
     INCREASING = "increasing"
     BATHTUB = "bathtub"
     INVERSE_BATHTUB = "inverse_bathtub"
-    UNCLASSIFIED = "unclassified"
 
 
 def pdf_shape(model: Clfrd) -> PdfShape:
@@ -85,31 +90,22 @@ def pdf_shape(model: Clfrd) -> PdfShape:
 def hazard_shape(model: Clfrd) -> HazardShape:
     """Classify the hazard rate as increasing, bathtub or inverse bathtub.
 
-    Condition table on (alpha, beta, lam); checked in the order increasing,
-    bathtub, inverse bathtub, so boundary equalities resolve to the earlier
-    branch.  The inverse-bathtub branch carries the condition
-    ``beta (1 + lam) >= lam alpha^2`` (the sign of h'(0)), which the
-    increasing/decreasing dichotomy needs even though it is easy to drop
-    when reading the case split casually.  Returns UNCLASSIFIED when no
-    branch matches (e.g. ``lam <= 1/2`` with ``alpha^2 < 3 beta``, where
-    log(2 lam) is nonpositive).
+    With ``y = alpha x + beta x^2 / 2``, h'(x) has the sign of
+    ``g(y) = beta e^y + beta lam - lam (alpha^2 + 2 beta y)``, which is
+    convex in y and grows without bound, so every hazard ends increasing.
+    ``h0 = g(0) = beta (1 + lam) - lam alpha^2``.  For ``lam > 1/2``, g is
+    least at ``y = log(2 lam)``, where it is ``lam (3 beta - alpha^2 -
+    2 beta log(2 lam))``.  When that least value is negative the hazard
+    dips: bathtub if ``h0 <= 0``, else inverse bathtub, the up-down-up
+    shape ("+-+").  Otherwise g changes sign at most once: increasing if
+    ``h0 >= 0``, else bathtub.  Every triple gets one of the three labels.
     """
     a, b, lam = model.alpha, model.beta, model.lam
     a2 = a * a
-    h0 = b * (1.0 + lam) - lam * a2  # sign of h'(0)
-    if a2 < 3.0 * b:
-        log2lam = math.log(2.0 * lam)
-        knee = (3.0 * b - a2) / (2.0 * b)
-        if 0.0 < log2lam <= knee:
-            return HazardShape.INCREASING
-        if h0 <= 0.0 and log2lam > knee:
-            return HazardShape.BATHTUB
-        if h0 >= 0.0 and log2lam > knee:
-            return HazardShape.INVERSE_BATHTUB
-        return HazardShape.UNCLASSIFIED
-    if h0 >= 0.0:
-        return HazardShape.INCREASING
-    return HazardShape.BATHTUB
+    h0 = b * (1.0 + lam) - lam * a2
+    if lam > 0.5 and math.log(2.0 * lam) > (3.0 * b - a2) / (2.0 * b):
+        return HazardShape.BATHTUB if h0 <= 0.0 else HazardShape.INVERSE_BATHTUB
+    return HazardShape.INCREASING if h0 >= 0.0 else HazardShape.BATHTUB
 
 
 def _tail_integral(func, lo: float, hi: float, epsabs: float) -> float:
@@ -142,6 +138,15 @@ def _log_sf(model: Clfrd):
     return log_sf
 
 
+def _age(name: str, x, positive: bool) -> float:
+    """The age argument of measure ``name`` as a float, finite and nonnegative,
+    or positive where the measure divides by ``cdf(x)``."""
+    x = float(x)
+    if not (0.0 < x < math.inf if positive else 0.0 <= x < math.inf):
+        raise ValueError(f"{name}: x must be finite and {'positive' if positive else 'nonnegative'}")
+    return x
+
+
 def mrl(model: Clfrd, x) -> float:
     """Mean residual life E[U - x | U > x] at age x >= 0.
 
@@ -151,9 +156,7 @@ def mrl(model: Clfrd, x) -> float:
     1 - 1e-12 quantile, or 30 decay lengths ``1 / hazard(x)`` past an age
     beyond it.
     """
-    x = float(x)
-    if x < 0:
-        raise ValueError("mrl: x must be nonnegative")
+    x = _age("mrl", x, positive=False)
     hi = model.quantile(1.0 - 1e-12)
     if hi <= x:
         hi = x + 30.0 / model.hazard(x)
@@ -169,9 +172,7 @@ def mit(model: Clfrd, x) -> float:
     with breakpoints at the median and the 1 - 1e-12 quantile where they
     lie below x: at large lam the cdf rises within about 1/lam of 0.
     """
-    x = float(x)
-    if x <= 0:
-        raise ValueError("mit: x must be positive")
+    x = _age("mit", x, positive=True)
     c = model.cdf(x)
     log_sf = _log_sf(model)
     points = [t for t in model.quantile([0.5, 1.0 - 1e-12]).tolist() if t < x] or None
@@ -185,7 +186,7 @@ def raw_moment(model: Clfrd, r: int) -> float:
     The integrand of ``mrl`` at age 0 times ``r t^(r-1)``, so
     ``raw_moment(model, 1) == mrl(model, 0)`` exactly.
     """
-    if int(r) != r or r < 1:
+    if not (1 <= r < math.inf and int(r) == r):
         raise ValueError("raw_moment: r must be a positive integer")
     r = int(r)
     log_sf = _log_sf(model)
@@ -284,9 +285,7 @@ def mrl_series(model: Clfrd, x) -> SeriesResult:
     the window times the k = 1 term, the largest) plus the weights'
     rounding.
     """
-    x = float(x)
-    if x < 0:
-        raise ValueError("mrl_series: x must be nonnegative")
+    x = _age("mrl_series", x, positive=False)
     y = model.alpha * x + 0.5 * model.beta * x * x
     j, p, rounding = _poisson(model.lam, y)
     value = float(p @ _lfr_mrl(model, j + 1.0, x))
@@ -307,9 +306,7 @@ def mit_series(model: Clfrd, x) -> SeriesResult:
     margin over the few ulps of erfcx, exp and sqrt in each term: a
     cancelled result is flagged, not returned as converged.
     """
-    x = float(x)
-    if x <= 0:
-        raise ValueError("mit_series: x must be positive")
+    x = _age("mit_series", x, positive=True)
     y = model.alpha * x + 0.5 * model.beta * x * x
     j, p, rounding = _poisson(model.lam, 0.0)
     k = j + 1.0

@@ -34,7 +34,7 @@ from clfrd import (
     sample_inverse,
 )
 from clfrd.datasets import builtin
-from clfrd.properties import HazardShape, PdfShape
+from clfrd.properties import PdfShape
 
 from conftest import PARAMETER_SETS
 from test_properties import (
@@ -300,9 +300,8 @@ def test_criterion_7_property_suites():
     shapes_ok = True
     for _ in range(200):
         m = Clfrd(*np.exp(rng.uniform(np.log(0.1), np.log(5.0), 3)))
-        label = hazard_shape(m)
-        if label is not HazardShape.UNCLASSIFIED and not near_classifier_boundary(m):
-            shapes_ok &= scan_hazard_pattern(m) in _ALLOWED_PATTERNS[label]
+        if not near_classifier_boundary(m):
+            shapes_ok &= scan_hazard_pattern(m) in _ALLOWED_PATTERNS[hazard_shape(m)]
             checked += 1
         p_label = pdf_shape(m)
         x = np.linspace(0.0, m.quantile(0.99), 2000)

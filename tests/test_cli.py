@@ -86,6 +86,22 @@ class TestCompare:
         code, _, err = run_cli(capsys, "compare", "--data", "builtin:students", "--models", "zzz")
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the fits' overflows at these scales
+    def test_failed_rows_are_strict_json(self, capsys, tmp_path):
+        # every model fails on these ages: the statistics are null, not NaN
+        data = tmp_path / "tiny.csv"
+        data.write_text("lifetime\n1e-300\n2e-300\n3e-300\n5e-300\n")
+        code, out, _ = run_cli(capsys, "compare", "--data", str(data), "--format", "json", "--no-meta")
+        assert code == EXIT_OK
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        rows = json.loads(out, parse_constant=reject)["rows"]
+        assert len(rows) == 5
+        for row in rows:
+            assert row["error"] and row["neg2_loglik"] is None and row["ks_pvalue"] is None
+
     def test_json_byte_identical_without_meta(self, capsys):
         args = ("compare", "--data", "builtin:devices", "--format", "json", "--no-meta")
         _, out1, _ = run_cli(capsys, *args)
@@ -214,6 +230,18 @@ class TestProps:
         assert payload["mrl"] == pytest.approx(0.2211234, abs=1e-4)
         assert payload["mit"] == pytest.approx(0.3592062, abs=1e-4)
         assert payload["hazard_shape"] == "bathtub"
+
+    def test_published_triple_at_lam_half_is_increasing(self, capsys):
+        code, out, _ = run_cli(capsys, "props", "--alpha", "2", "--beta", "2", "--lambda", "0.5")
+        assert code == EXIT_OK
+        assert "hazard shape: increasing" in out.splitlines()
+
+    def test_nonfinite_age(self, capsys):
+        for at in ("nan", "inf"):
+            code, out, err = run_cli(capsys, "props", "--alpha", "2", "--beta", "2", "--lambda", "2",
+                                     "--at", at, "--format", "json", "--no-meta")
+            assert code == EXIT_DOMAIN and out == ""
+            assert "x must be finite" in err
 
     def test_text_parameters_line(self, capsys):
         code, out, _ = run_cli(capsys, "props", "--alpha", "2", "--beta", "0.5", "--lambda", "3")

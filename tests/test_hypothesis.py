@@ -28,7 +28,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from clfrd import MODEL_REGISTRY, Clfrd
+from scipy.stats import ks_2samp
+
+from clfrd import MODEL_REGISTRY, Clfrd, SeededStream, sample_compound, sample_inverse
 from clfrd.distributions import lambert_w0
 from clfrd.estimation import _FAMILIES, _loglik_score, _neg_loglik_fd, _sample_sums
 
@@ -85,6 +87,21 @@ def test_cdf_and_sf_sum_to_one(alpha, beta, lam, x):
 def test_hazard_is_finite_and_positive(alpha, beta, lam, x):
     h = Clfrd(alpha, beta, lam).hazard(x)
     assert math.isfinite(h) and h > 0.0
+
+
+@given(log_uniform, log_uniform, st.floats(math.log(1e-6), math.log(1e4)).map(math.exp))
+@example(1.0, 1.0, 1e2)
+@example(1.0, 1.0, 1e3)
+@example(1.0, 1.0, 1e4)
+def test_samplers_agree_up_to_large_lam(alpha, beta, lam):
+    # both samplers end in the same increasing linear-failure-rate map of
+    # (alpha, beta), so the K-S statistic depends only on lam and the seeds
+    m = Clfrd(alpha, beta, lam)
+    inverse = sample_inverse(m, 20000, SeededStream(7))
+    compound = sample_compound(m, 20000, SeededStream(8))
+    for draws in (inverse, compound):
+        assert np.all(np.isfinite(draws) & (draws >= 0.0))
+    assert ks_2samp(inverse, compound).pvalue > 1e-3
 
 
 @given(st.lists(st.floats(0.0, math.exp(60.0)), min_size=1, max_size=30))

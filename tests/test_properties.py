@@ -125,7 +125,7 @@ def near_classifier_boundary(m: Clfrd, tol: float = 1e-4) -> bool:
     a2 = m.alpha**2
     h0 = m.beta * (1 + m.lam) - m.lam * a2
     checks = [abs(h0) / (m.beta * (1 + m.lam))]
-    if a2 < 3 * m.beta:
+    if m.lam > 0.5:
         knee = (3 * m.beta - a2) / (2 * m.beta)
         checks.append(abs(math.log(2 * m.lam) - knee))
     return min(checks) < tol
@@ -138,17 +138,16 @@ class TestHazardShape:
     def test_increasing_example(self):
         assert hazard_shape(Clfrd(0.5, 2.0, 2.0)) is HazardShape.INCREASING
 
-    def test_unclassified_when_no_branch_matches(self):
-        # alpha^2 < 3 beta with lam <= 1/2 leaves log(2 lam) <= 0
-        assert hazard_shape(Clfrd(0.5, 2.0, 0.3)) is HazardShape.UNCLASSIFIED
+    def test_increasing_when_lam_at_most_half_and_alpha2_below_3beta(self):
+        # h' has no dip at lam <= 1/2, and h0 > beta (1 - 2 lam) >= 0; the
+        # last three are published triples
+        for params in ((0.5, 2.0, 0.3), (2.0, 2.0, 0.5), (0.5, 2.0, 0.5), (0.5, 0.5, 0.5)):
+            assert hazard_shape(Clfrd(*params)) is HazardShape.INCREASING, params
 
     @pytest.mark.parametrize("params", PARAMETER_SETS)
     def test_study_sets_match_sign_scan(self, params):
         m = Clfrd(*params)
-        label = hazard_shape(m)
-        if label is HazardShape.UNCLASSIFIED:
-            pytest.skip("classifier abstains for this triple")
-        assert scan_hazard_pattern(m) in _ALLOWED_PATTERNS[label]
+        assert scan_hazard_pattern(m) in _ALLOWED_PATTERNS[hazard_shape(m)]
 
     def test_random_triples_match_sign_scan(self):
         rng = np.random.default_rng(99173)
@@ -156,7 +155,7 @@ class TestHazardShape:
         for _ in range(200):
             m = Clfrd(*np.exp(rng.uniform(np.log(0.1), np.log(5.0), 3)))
             label = hazard_shape(m)
-            if label is HazardShape.UNCLASSIFIED or near_classifier_boundary(m):
+            if near_classifier_boundary(m):
                 continue
             pattern = scan_hazard_pattern(m)
             assert pattern in _ALLOWED_PATTERNS[label], (m, pattern, label)
@@ -183,8 +182,9 @@ class TestMrl:
             assert mrl(m, 0.0) == raw_moment(m, 1), params
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            mrl(Clfrd(2, 2, 2), -1.0)
+        for x in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                mrl(Clfrd(2, 2, 2), x)
 
     @pytest.mark.parametrize("params,x", [((2, 2, 2), 80.0), ((1, 1, 1e4), 0.3), ((0.5, 0.5, 0.5), 40.0)])
     def test_where_sf_underflows(self, params, x):
@@ -225,8 +225,9 @@ class TestMit:
         assert np.max(np.abs(np.diff(vals))) < 0.1
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            mit(Clfrd(2, 2, 2), 0.0)
+        for x in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                mit(Clfrd(2, 2, 2), x)
 
 
 class TestRawMoment:
@@ -268,8 +269,9 @@ class TestRawMoment:
         assert abs(raw_moment(m, 1) - draws.mean()) <= 3.0 * se
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            raw_moment(Clfrd(2, 2, 2), 0)
+        for r in (0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                raw_moment(Clfrd(2, 2, 2), r)
 
 
 class TestMedian:

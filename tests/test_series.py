@@ -101,8 +101,12 @@ class TestMrlSeries:
         assert result.value == pytest.approx(raw_moment(m, 1), rel=1e-12)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            mrl_series(Clfrd(2, 2, 2), -1.0)
+        for x in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                mrl_series(Clfrd(2, 2, 2), x)
+        for x in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                mit_series(Clfrd(2, 2, 2), x)
 
 
 # ---------------------------------------------------------------------------
