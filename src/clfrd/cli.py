@@ -20,7 +20,7 @@ Exit codes: 0 success, 2 usage, 3 I/O, 4 non-convergence, 5 domain/data.
 Each subcommand imports the modules it needs when it runs, so ``clfrd
 sample`` and ``clfrd --version`` load numpy but not scipy; only the
 commands that fit (``fit``, ``compare``, ``curve``, ``simulate``) or
-integrate (``props``) load scipy.
+report the measures (``props``, ``scipy.special`` alone) load scipy.
 """
 
 from __future__ import annotations

@@ -15,14 +15,13 @@ from clfrd import (
     median,
     mit,
     mrl,
-    mrl_series,
     order_stat_pdf,
     pdf_shape,
     raw_moment,
     sample_inverse,
 )
 
-from conftest import PARAMETER_SETS
+from conftest import PARAMETER_SETS, integral_references
 
 # the published triples and two where the mass sits far below age 1
 MEAN_CASES = PARAMETER_SETS + ((1.0, 1.0, 703.0), (1.0, 1.0, 1e5))
@@ -188,14 +187,15 @@ class TestMrl:
 
     @pytest.mark.parametrize("params,x", [((2, 2, 2), 80.0), ((1, 1, 1e4), 0.3), ((0.5, 0.5, 0.5), 40.0)])
     def test_where_sf_underflows(self, params, x):
-        # the integrand is scaled by log_sf(x), so sf(x) == 0 costs nothing
+        # the mixture's weights are normalized over their window, so
+        # sf(x) == 0 costs nothing
         m = Clfrd(*params)
-        assert mrl(m, x) == pytest.approx(mrl_series(m, x).value, rel=1e-10)
+        assert mrl(m, x) == pytest.approx(integral_references(m, x, 30)[0], rel=1e-10)
 
     @pytest.mark.parametrize("lam", [703.0, 1e3, 1e5])
     def test_at_large_lam(self, lam):
-        # the mass sits far below age 1: the first quadrature leg must not
-        # be wider than the 1 - 1e-12 quantile
+        # the mass sits far below age 1, and the Poisson window of the
+        # mixture is hundreds of counts wide
         m = Clfrd(1.0, 1.0, lam)
         expected = quad(m.sf, 0.0, m.quantile(1.0 - 1e-15), epsabs=1e-15, limit=500)[0]
         assert mrl(m, 0.0) == pytest.approx(expected, rel=1e-9)
@@ -213,10 +213,21 @@ class TestMit:
     def test_reference_table(self, params, expected):
         assert mit(Clfrd(*params), 0.5) == pytest.approx(expected, abs=1e-4)
 
-    @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.5, 5.0])
+    @pytest.mark.parametrize("x", [1e-200, 0.1, 0.5, 1.0, 2.5, 5.0])
     def test_bounds(self, x):
         m = Clfrd(0.5, 0.5, 2.0)
         assert 0.0 < mit(m, x) < x
+        if x < 1e-100:
+            # the cdf is linear there; its integral, ~x^2, underflows
+            assert mit(m, x) == pytest.approx(x / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("params", PARAMETER_SETS)
+    def test_small_ages_match_mpmath(self, params):
+        # the Gauss-Legendre leg, at ages where mit_series flags its
+        # cancelled complement
+        m = Clfrd(*params)
+        for x in (1e-6, 1e-4, 1e-2):
+            assert mit(m, x) == pytest.approx(integral_references(m, x, 30)[1], rel=1e-12, abs=0.0)
 
     def test_continuity(self):
         m = Clfrd(2.0, 0.5, 0.5)
@@ -236,24 +247,30 @@ class TestRawMoment:
             m = Clfrd(*params)
             assert raw_moment(m, 1) == mrl(m, 0.0), params
 
-    @pytest.mark.parametrize("lam", [1e3, 1e5])
-    def test_first_two_moments_match_mpmath(self, lam):
+    # the continued fraction serves all but the published triple, which the
+    # forward recurrence serves; each fails where the other serves
+    @pytest.mark.parametrize("params", [pytest.param((1.0, 1.0, lam), id=str(lam)) for lam in (1e3, 1e5, 1e7)]
+                             + [pytest.param((20.0, 0.01, 1.0), id="alpha20-beta0.01"),
+                                pytest.param((0.5, 2.0, 2.0), id="published-0.5-2-2")])
+    def test_first_two_moments_match_mpmath(self, params):
         # E[U^r] = r * integral of t^(r-1) sf(t), at 40 digits, with
-        # breakpoints at powers of 4 times the decay length 1 / (1 + lam)
+        # breakpoints at powers of 4 times the decay length 1 / hazard(0),
+        # out to 100 of the slowest decay lengths
         with mpmath.workdps(40):
-            big = mpmath.mpf(lam)
+            a, b, lam = (mpmath.mpf(v) for v in params)
 
             def sf(t):
-                y = t + t * t / 2
-                return mpmath.exp(-y + big * mpmath.expm1(-y))
+                y = a * t + b * t * t / 2
+                return mpmath.exp(-y + lam * mpmath.expm1(-y))
 
-            points = [mpmath.mpf(0)]
-            while points[-1] < 100:
-                points.append(mpmath.mpf(4) ** len(points) / (1 + big))
-            points.append(mpmath.inf)
+            points, fast, slow = [mpmath.mpf(0)], 1 / (a * (1 + lam)), min(1 / a, mpmath.sqrt(2 / b))
+            while fast < 100 * slow:
+                points.append(fast)
+                fast *= 4
+            points += [100 * slow, mpmath.inf]
             mean = mpmath.quad(sf, points)
             second = 2 * mpmath.quad(lambda t: t * sf(t), points)
-        m = Clfrd(1.0, 1.0, lam)
+        m = Clfrd(*params)
         assert raw_moment(m, 1) == pytest.approx(float(mean), rel=2e-13, abs=0.0)
         assert raw_moment(m, 2) == pytest.approx(float(second), rel=2e-13, abs=0.0)
 
@@ -318,10 +335,11 @@ class TestOrderStatPdf:
 
     def test_index_bounds(self):
         m = Clfrd(2, 2, 2)
-        with pytest.raises(ValueError):
-            order_stat_pdf(m, 5, 0, 1.0)
-        with pytest.raises(ValueError):
-            order_stat_pdf(m, 5, 6, 1.0)
+        # integral floats count, as in raw_moment
+        assert order_stat_pdf(m, 5.0, 3, 1.0) == order_stat_pdf(m, 5, 3, 1.0)
+        for n, k in ((5, 0), (5, 6), (5, 2.5), (5.5, 3), (math.nan, 1), (math.inf, 1), (5, math.nan)):
+            with pytest.raises(ValueError):
+                order_stat_pdf(m, n, k, 1.0)
 
 
 class TestLrMonotoneCheck:

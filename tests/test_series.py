@@ -1,10 +1,14 @@
-"""Cross-checks of the Poisson-mixture series against quadrature and mpmath.
+"""The Poisson-mixture sums and their error bounds against quadrature and mpmath.
 
 The law is the minimum of k = 1 + j LFR(alpha, beta) lifetimes with
-j ~ Poisson(lam), so both series are one-index Poisson sums of closed-form
-LFR tail integrals.  Each must match ``mrl``/``mit`` (adaptive quadrature)
-and mpmath to near machine precision wherever it reports convergence, and
-flag a result whose truncation or rounding bound misses 1e-10 relative.
+j ~ Poisson(lam), so ``mrl``, and ``mit`` where cdf(x) > 1/2, are one-index
+Poisson sums of closed-form LFR tail integrals.  ``mrl_series`` and
+``mit_series`` return those sums with a bound on their error, so they are
+checked against references that share no code with them: scipy's adaptive
+quadrature of the cdf, mpmath quadrature of the survival function and the
+mixture summed term by term in mpmath.  Each must match to near machine
+precision wherever it reports convergence, and flag a result whose
+truncation or rounding bound misses 1e-10 relative.
 """
 
 import math
@@ -14,10 +18,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from clfrd import Clfrd, LinearFailureRate, median, mit, mit_series, mrl, mrl_series, raw_moment
+from clfrd import Clfrd, LinearFailureRate, median, mit, mit_series, mrl, mrl_series
 from scipy.integrate import quad
 
-from conftest import PARAMETER_SETS
+from conftest import PARAMETER_SETS, integral_references
+
+
+def quad_mit(model, x):
+    """Mean inactivity time by scipy's adaptive quadrature of the cdf."""
+    return quad(model.cdf, 0.0, x, epsabs=1e-13, limit=200)[0] / model.cdf(x)
 
 
 @pytest.mark.parametrize(
@@ -31,14 +40,14 @@ def test_mit_series_matches_quadrature(params):
     m = Clfrd(*params)
     result = mit_series(m, 0.5)
     assert result.converged
-    assert result.value == pytest.approx(mit(m, 0.5), abs=1e-10)
+    assert result.value == pytest.approx(quad_mit(m, 0.5), abs=1e-10)
 
 
 def test_mit_series_larger_age():
     m = Clfrd(2.0, 2.0, 2.0)
     result = mit_series(m, 2.0)
     assert result.converged
-    assert result.value == pytest.approx(mit(m, 2.0), abs=1e-9)
+    assert result.value == pytest.approx(quad_mit(m, 2.0), abs=1e-9)
 
 
 _MIT_FLAG_CASES = [
@@ -56,7 +65,7 @@ def test_mit_series_accurate_whenever_flagged_converged(params, x):
     m = Clfrd(*params)
     result = mit_series(m, x)
     if result.converged:
-        assert result.value == pytest.approx(mit(m, x), abs=1e-9)
+        assert result.value == pytest.approx(quad_mit(m, x), abs=1e-9)
 
 
 def test_mit_series_domain():
@@ -76,7 +85,8 @@ class TestMrlSeries:
     def test_accurate_when_slope_is_small(self):
         m = Clfrd(2.0, 0.05, 0.3)
         result = mrl_series(m, 0.5)
-        assert result.value == pytest.approx(mrl(m, 0.5), abs=max(1e-8, 3 * result.tail_estimate))
+        want = integral_references(m, 0.5, 30)[0]
+        assert result.value == pytest.approx(want, abs=max(1e-8, 3 * result.tail_estimate))
 
     def test_reduces_to_linear_failure_rate_for_tiny_lam(self):
         a, b = 2.0, 0.05
@@ -91,14 +101,14 @@ class TestMrlSeries:
         m = Clfrd(0.5, 0.5, 0.5)
         result = mrl_series(m, 0.5)
         assert result.converged
-        assert result.value == pytest.approx(mrl(m, 0.5), abs=1e-12)
+        assert result.value == pytest.approx(integral_references(m, 0.5, 30)[0], abs=1e-12)
 
     @pytest.mark.parametrize("params", PARAMETER_SETS)
     def test_mean_at_age_zero(self, params):
         m = Clfrd(*params)
         result = mrl_series(m, 0.0)
         assert result.converged
-        assert result.value == pytest.approx(raw_moment(m, 1), rel=1e-12)
+        assert result.value == pytest.approx(integral_references(m, 0.0, 30)[0], rel=1e-12)
 
     def test_domain(self):
         for x in (-1.0, math.nan, math.inf):
@@ -135,32 +145,6 @@ def loop_series(model, x):
                 break
             j += 1
         return float(upper / sf), float((x - spent) / -mpmath.expm1(mpmath.log(sf)))
-
-
-def integral_references(model, x, dps):
-    """(mrl, mit) by mpmath quadrature of the survival function; mit is nan at x = 0."""
-    with mpmath.workdps(dps):
-        a, b, lam, x = (mpmath.mpf(v) for v in (model.alpha, model.beta, model.lam, x))
-
-        def log_sf(t):
-            y = a * t + b * t * t / 2
-            return -y + lam * mpmath.expm1(-y)
-
-        # breakpoints from the decay length at x, where the hazard is
-        # highest for large lam, out to 100 of the slowest decay lengths
-        fast = 1 / ((a + b * x) * (1 + lam * mpmath.exp(-(a * x + b * x * x / 2))))
-        slow = min(1 / (a + b * x), mpmath.sqrt(2 / b))
-        points = [x]
-        while fast < 100 * slow:
-            points.append(x + fast)
-            fast *= 4
-        points += [x + 100 * slow, mpmath.inf]
-        at_x = log_sf(x)
-        residual = mpmath.quad(lambda t: mpmath.exp(log_sf(t) - at_x), points)
-        if x == 0:
-            return float(residual), math.nan
-        inactive = mpmath.quad(lambda t: -mpmath.expm1(log_sf(t)), [0, x / 2, x]) / -mpmath.expm1(at_x)
-        return float(residual), float(inactive)
 
 
 @pytest.mark.parametrize("params", PARAMETER_SETS)
