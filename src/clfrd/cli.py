@@ -182,8 +182,12 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+_STUDY_FIELDS = ("set_id", "alpha", "beta", "lambda", "n", "param",
+                 "mle", "bias", "sd", "mse", "low", "up", "ciw", "failures")
+
+
 def _cmd_simulate(args) -> int:
-    from .simulation import StudyConfig, run_study, study_to_csv, study_to_json
+    from .simulation import StudyConfig, run_study, study_rows
 
     labels = tuple(range(1, len(DEFAULT_PARAMETER_SETS) + 1))
     sets = DEFAULT_PARAMETER_SETS
@@ -202,11 +206,22 @@ def _cmd_simulate(args) -> int:
         set_labels=labels,
     )
     summaries = run_study(cfg) if sizes else []
+    rows = study_rows(summaries)
     if args.format == "json":
-        meta = None if args.no_meta else _meta(args.seed)
-        _emit(study_to_json(summaries, meta) + "\n", args.out)
+        _emit_json(args, {
+            "rows": rows,
+            "cells": [
+                {"set_id": s.set_id, "n": s.n, "failures": s.failures,
+                 "failure_reasons": s.failure_reasons, "at_bound": s.at_bound}
+                for s in summaries
+            ],
+            "degenerate_cells": [
+                {"set_id": s.set_id, "n": s.n, "failures": s.failures}
+                for s in summaries if s.degenerate
+            ],
+        }, args.seed)
     else:
-        _emit(study_to_csv(summaries), args.out)
+        _emit(_rows_to_csv(_STUDY_FIELDS, rows), args.out)
     return EXIT_OK
 
 

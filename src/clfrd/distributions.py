@@ -9,9 +9,12 @@ the ``LifetimeModel`` surface: ``pdf``, ``log_pdf``, ``cdf``, ``sf``,
 holds the eight published ``Clfrd`` triples.
 
 Evaluation methods accept scalars or numpy arrays and return a matching
-shape.  Arguments are validated, never clamped: negative ``x`` raises.
-Parameter objects are frozen dataclasses, so instances are immutable and
-safe to share across threads.
+shape, a ``float`` for a scalar.  Arguments are validated, never clamped:
+a negative or non-finite ``x``, a level outside [0, 1) and a parameter
+that is not finite and > 0 raise ``ValueError``.  All of these checks
+live in ``LifetimeModel``, once for every model; the subclasses hold only
+their parameters and formulas.  Parameter objects are frozen dataclasses,
+so instances are immutable and safe to share across threads.
 
 The ``Clfrd`` quantile solves for the linear-failure-rate exponent
 ``alpha x + beta x^2 / 2`` by a monotone Newton iteration, then inverts
@@ -96,8 +99,12 @@ def _as_prob_array(q):
 class LifetimeModel(abc.ABC):
     """Common evaluation surface for all lifetime models.
 
-    Subclasses implement ``log_sf``, ``log_pdf``, ``hazard`` and
-    ``quantile``; ``sf``, ``cdf`` and ``pdf`` derive from those so the
+    This class is the models' one boundary.  ``__post_init__`` checks every
+    dataclass field (finite and > 0); each public method checks its
+    argument once, calls the subclass formula on the checked array, and
+    returns a ``float`` for a scalar argument.  Subclasses implement the
+    formulas ``_log_sf``, ``_log_pdf``, ``_hazard`` and ``_quantile`` on
+    checked arrays; ``sf``, ``cdf`` and ``pdf`` derive from those so the
     identities ``cdf + sf = 1`` and ``pdf = exp(log_pdf)`` hold by
     construction.
     """
@@ -106,30 +113,55 @@ class LifetimeModel(abc.ABC):
     param_count: int = 0
     param_names: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{type(self).__name__}: {f.name} must be finite and > 0, got {value}")
+
     @abc.abstractmethod
+    def _log_sf(self, x):
+        ...
+
+    @abc.abstractmethod
+    def _log_pdf(self, x):
+        ...
+
+    @abc.abstractmethod
+    def _hazard(self, x):
+        ...
+
+    @abc.abstractmethod
+    def _quantile(self, q):
+        ...
+
     def log_sf(self, x):
-        ...
+        x = _as_domain_array(x)
+        return _match(x, self._log_sf(x))
 
-    @abc.abstractmethod
     def log_pdf(self, x):
-        ...
+        x = _as_domain_array(x)
+        return _match(x, self._log_pdf(x))
 
-    @abc.abstractmethod
     def hazard(self, x):
-        ...
+        x = _as_domain_array(x)
+        return _match(x, self._hazard(x))
 
-    @abc.abstractmethod
     def quantile(self, q):
-        ...
+        q = _as_prob_array(q)
+        return _match(q, self._quantile(q))
 
     def sf(self, x):
-        return _match(x, np.exp(self.log_sf(x)))
+        x = _as_domain_array(x)
+        return _match(x, np.exp(self._log_sf(x)))
 
     def cdf(self, x):
-        return _match(x, -np.expm1(self.log_sf(x)))
+        x = _as_domain_array(x)
+        return _match(x, -np.expm1(self._log_sf(x)))
 
     def pdf(self, x):
-        return _match(x, np.exp(self.log_pdf(x)))
+        x = _as_domain_array(x)
+        return _match(x, np.exp(self._log_pdf(x)))
 
     def params(self) -> dict[str, float]:
         """Parameter values keyed by their conventional names."""
@@ -137,12 +169,6 @@ class LifetimeModel(abc.ABC):
 
     def to_vector(self) -> np.ndarray:
         return np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
-
-
-def _require_positive(obj, **named):
-    for key, value in named.items():
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{type(obj).__name__}: {key} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -162,44 +188,37 @@ class Clfrd(LifetimeModel):
     param_count = 3
     param_names = ("alpha", "beta", "lambda")
 
-    def __post_init__(self):
-        _require_positive(self, alpha=self.alpha, beta=self.beta, lam=self.lam)
-
     def _cumulative_hazard_base(self, x):
         # alpha x + beta x^2 / 2, the underlying linear-failure-rate exponent
         return self.alpha * x + 0.5 * self.beta * x * x
 
-    def log_sf(self, x):
-        x = _as_domain_array(x)
+    def _log_sf(self, x):
         y = self._cumulative_hazard_base(x)
         return -y + self.lam * np.expm1(-y)
 
-    def log_pdf(self, x):
+    def _log_pdf(self, x):
         # log hazard plus log_sf: lam * expm1(-y) does not cancel at large lam,
         # and every exponential argument is nonpositive
-        x = _as_domain_array(x)
         y = self._cumulative_hazard_base(x)
         return np.log(self.alpha + self.beta * x) + np.log1p(self.lam * np.exp(-y)) - y + self.lam * np.expm1(-y)
 
-    def hazard(self, x):
+    def _hazard(self, x):
         # closed form; never computed as pdf/sf so it stays finite when sf underflows
-        x = _as_domain_array(x)
         e = np.exp(-self._cumulative_hazard_base(x))
-        return _match(x, (self.alpha + self.beta * x) * (1.0 + self.lam * e))
+        return (self.alpha + self.beta * x) * (1.0 + self.lam * e)
 
     def reversed_hazard(self, x):
         """pdf(x) / cdf(x); defined for x > 0 only."""
         x = _as_domain_array(x)
         if np.any(x <= 0.0):
             raise ValueError("reversed hazard requires x > 0 (cdf vanishes at 0)")
-        return _match(x, np.exp(self.log_pdf(x)) / (-np.expm1(self.log_sf(x))))
+        return _match(x, np.exp(self._log_pdf(x)) / (-np.expm1(self._log_sf(x))))
 
-    def quantile(self, q):
+    def _quantile(self, q):
         # The shift y = alpha x + beta x^2 / 2 solves
         # g(y) = y - lam expm1(-y) - t = 0 with t = -log(1 - q).  g is
         # increasing and concave, and the start lies below the root, so the
         # Newton steps rise monotonically to it; no term cancels at small q.
-        q = _as_prob_array(q)
         lam = self.lam
         # every work array is updated in place: fresh temporaries on 1e5
         # points raised the surface benchmark's peak RSS by 1-2 MB
@@ -232,7 +251,7 @@ class Clfrd(LifetimeModel):
         root += self.alpha
         y *= 2.0
         y /= root
-        return _match(q, y.reshape(q.shape))
+        return y.reshape(q.shape)
 
 
 @dataclass(frozen=True)
@@ -246,26 +265,19 @@ class LinearFailureRate(LifetimeModel):
     param_count = 2
     param_names = ("alpha", "beta")
 
-    def __post_init__(self):
-        _require_positive(self, alpha=self.alpha, beta=self.beta)
-
-    def log_sf(self, x):
-        x = _as_domain_array(x)
+    def _log_sf(self, x):
         return -(self.alpha * x + 0.5 * self.beta * x * x)
 
-    def log_pdf(self, x):
-        x = _as_domain_array(x)
+    def _log_pdf(self, x):
         return np.log(self.alpha + self.beta * x) - self.alpha * x - 0.5 * self.beta * x * x
 
-    def hazard(self, x):
-        x = _as_domain_array(x)
-        return _match(x, self.alpha + self.beta * x)
+    def _hazard(self, x):
+        return self.alpha + self.beta * x
 
-    def quantile(self, q):
-        q = _as_prob_array(q)
+    def _quantile(self, q):
         e = -np.log1p(-q)
         root = self.alpha + np.sqrt(self.alpha * self.alpha + 2.0 * self.beta * e)
-        return _match(q, 2.0 * e / root)
+        return 2.0 * e / root
 
 
 @dataclass(frozen=True)
@@ -278,25 +290,18 @@ class Rayleigh(LifetimeModel):
     param_count = 1
     param_names = ("sigma",)
 
-    def __post_init__(self):
-        _require_positive(self, sigma=self.sigma)
-
-    def log_sf(self, x):
-        x = _as_domain_array(x)
+    def _log_sf(self, x):
         return -x * x / (2.0 * self.sigma * self.sigma)
 
-    def log_pdf(self, x):
-        x = _as_domain_array(x)
+    def _log_pdf(self, x):
         with np.errstate(divide="ignore"):
             return np.log(x) - 2.0 * math.log(self.sigma) - x * x / (2.0 * self.sigma * self.sigma)
 
-    def hazard(self, x):
-        x = _as_domain_array(x)
-        return _match(x, x / (self.sigma * self.sigma))
+    def _hazard(self, x):
+        return x / (self.sigma * self.sigma)
 
-    def quantile(self, q):
-        q = _as_prob_array(q)
-        return _match(q, self.sigma * np.sqrt(-2.0 * np.log1p(-q)))
+    def _quantile(self, q):
+        return self.sigma * np.sqrt(-2.0 * np.log1p(-q))
 
 
 @dataclass(frozen=True)
@@ -309,24 +314,17 @@ class Exponential(LifetimeModel):
     param_count = 1
     param_names = ("lambda",)
 
-    def __post_init__(self):
-        _require_positive(self, rate=self.rate)
-
-    def log_sf(self, x):
-        x = _as_domain_array(x)
+    def _log_sf(self, x):
         return -self.rate * x
 
-    def log_pdf(self, x):
-        x = _as_domain_array(x)
+    def _log_pdf(self, x):
         return math.log(self.rate) - self.rate * x
 
-    def hazard(self, x):
-        x = _as_domain_array(x)
-        return _match(x, np.full_like(x, self.rate))
+    def _hazard(self, x):
+        return np.full_like(x, self.rate)
 
-    def quantile(self, q):
-        q = _as_prob_array(q)
-        return _match(q, -np.log1p(-q) / self.rate)
+    def _quantile(self, q):
+        return -np.log1p(-q) / self.rate
 
 
 @dataclass(frozen=True)
@@ -340,15 +338,11 @@ class GeneralizedExponential(LifetimeModel):
     param_count = 2
     param_names = ("lambda", "alpha")
 
-    def __post_init__(self):
-        _require_positive(self, rate=self.rate, shape=self.shape)
-
     def _log_base_cdf(self, x):
         with np.errstate(divide="ignore"):
             return np.log(-np.expm1(-self.rate * x))
 
-    def log_sf(self, x):
-        x = _as_domain_array(x)
+    def _log_sf(self, x):
         with np.errstate(divide="ignore"):
             return np.log1p(-np.exp(self.shape * self._log_base_cdf(x)))
 
@@ -356,8 +350,7 @@ class GeneralizedExponential(LifetimeModel):
         x = _as_domain_array(x)
         return _match(x, np.exp(self.shape * self._log_base_cdf(x)))
 
-    def log_pdf(self, x):
-        x = _as_domain_array(x)
+    def _log_pdf(self, x):
         with np.errstate(invalid="ignore"):
             out = (
                 math.log(self.shape * self.rate)
@@ -366,18 +359,16 @@ class GeneralizedExponential(LifetimeModel):
             )
         # x = 0: density is 0 for shape > 1, rate for shape = 1, +inf below
         if self.shape == 1.0:
-            out = np.where(np.asarray(x) == 0.0, math.log(self.rate), out)
+            out = np.where(x == 0.0, math.log(self.rate), out)
         return out
 
-    def hazard(self, x):
-        x = _as_domain_array(x)
-        return _match(x, np.exp(self.log_pdf(x) - self.log_sf(x)))
+    def _hazard(self, x):
+        return np.exp(self._log_pdf(x) - self._log_sf(x))
 
-    def quantile(self, q):
-        q = _as_prob_array(q)
+    def _quantile(self, q):
         with np.errstate(divide="ignore"):
             inner = np.power(q, 1.0 / self.shape)
-        return _match(q, -np.log1p(-inner) / self.rate)
+        return -np.log1p(-inner) / self.rate
 
 
 MODEL_REGISTRY: dict[str, type[LifetimeModel]] = {

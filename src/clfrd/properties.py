@@ -132,11 +132,18 @@ def mit(model: Clfrd, x) -> float:
     ``1 - e^(-E(t))`` with E an entire function of t below log 2.  Each
     node's cdf is divided by cdf(x) before the sum, which keeps the
     integral, about ``cdf'(0) x^2 / 2``, from underflowing at tiny ages.
+    Where cdf(x) < 2^-60, the cdf is its leading term ``(1 + lam)(alpha t
+    + beta t^2 / 2)`` to within cdf(x) relative, whose mit is
+    ``x (3 alpha + beta x) / (6 alpha + 3 beta x)``: the nodes' ratios lose
+    digits once cdf(x) is subnormal.
     """
     x = _age("mit", x, positive=True)
     c = model.cdf(x)
     if c > 0.5:
         return _mit(model, x, c)[0]
+    if c < 2.0**-60:
+        a, b = model.alpha, model.beta
+        return x * ((3.0 * a + b * x) / (6.0 * a + 3.0 * b * x))
     return 0.5 * x * float(_WEIGHTS @ (model.cdf(0.5 * x * (_NODES + 1.0)) / c))
 
 

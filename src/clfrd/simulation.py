@@ -24,7 +24,7 @@ iteration cap) are counted as failures and excluded, and a cell with more
 than 20% failures is flagged degenerate.  Fits that converge with an
 estimate pinned at the lower bound are kept.  Each summary counts its
 failures by stop (``failure_reasons``) and its kept estimates at the
-bound (``at_bound``); the JSON output lists both per cell.
+bound (``at_bound``); the JSON of ``clfrd simulate`` lists both per cell.
 
 Replications are keyed by ``(cell seed, replication index)`` streams, so
 results are bit-identical for a given ``base_seed`` no matter how the
@@ -38,9 +38,6 @@ module imports ``estimation`` and so scipy's L-BFGS-B extension.
 
 from __future__ import annotations
 
-import io
-import json
-import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Sequence
@@ -60,17 +57,9 @@ __all__ = [
     "run_cell",
     "run_study",
     "study_rows",
-    "study_to_csv",
-    "study_to_json",
 ]
 
 _DEGENERATE_FRACTION = 0.2
-
-_CSV_COLUMNS = (
-    "set_id", "alpha", "beta", "lambda", "n", "param",
-    "mle", "bias", "sd", "mse", "low", "up", "ciw", "failures",
-)
-
 
 @dataclass
 class StudyConfig:
@@ -211,34 +200,3 @@ def study_rows(summaries: Sequence[SimulationSummary]) -> list[dict]:
                 "failures": s.failures,
             })
     return rows
-
-
-def study_to_csv(summaries: Sequence[SimulationSummary]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(_CSV_COLUMNS) + "\n")
-    for row in study_rows(summaries):
-        buf.write(",".join(_format_cell(row[c]) for c in _CSV_COLUMNS) + "\n")
-    return buf.getvalue()
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value) if math.isfinite(value) else "nan"
-    return str(value)
-
-
-def study_to_json(summaries: Sequence[SimulationSummary], meta: dict | None = None) -> str:
-    payload: dict = {}
-    if meta:
-        payload["meta"] = meta
-    payload["rows"] = study_rows(summaries)
-    payload["cells"] = [
-        {"set_id": s.set_id, "n": s.n, "failures": s.failures,
-         "failure_reasons": s.failure_reasons, "at_bound": s.at_bound}
-        for s in summaries
-    ]
-    payload["degenerate_cells"] = [
-        {"set_id": s.set_id, "n": s.n, "failures": s.failures}
-        for s in summaries if s.degenerate
-    ]
-    return json.dumps(payload, indent=2)

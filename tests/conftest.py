@@ -83,5 +83,9 @@ def integral_references(model, x, dps):
         residual = mpmath.quad(lambda t: mpmath.exp(log_sf(t) - at_x), points)
         if x == 0:
             return float(residual), math.nan
-        inactive = mpmath.quad(lambda t: -mpmath.expm1(log_sf(t)), [0, x / 2, x]) / -mpmath.expm1(at_x)
+        # mit = x * integral over s in [0, 1] of cdf(x s) / cdf(x): an O(1)
+        # integrand, where cdf(t) itself on [0, x] can lie below quad's
+        # absolute tolerance and stop it early
+        cdf_x = -mpmath.expm1(at_x)
+        inactive = x * mpmath.quad(lambda s: -mpmath.expm1(log_sf(x * s)) / cdf_x, [0, 0.5, 1])
         return float(residual), float(inactive)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,10 @@ from clfrd import (
 )
 
 from conftest import PARAMETER_SETS
+
+# every evaluation method that takes an age; quantile takes a level
+X_METHODS = ("log_pdf", "pdf", "cdf", "sf", "log_sf", "hazard")
+MODELS = tuple(cls(*[1.5] * cls.param_count) for cls in MODEL_REGISTRY.values())
 
 
 def bisect_quantile(model, q, lo=0.0, hi=100.0, tol=1e-12):
@@ -329,20 +334,48 @@ class TestBaselines:
             factory()
 
     def test_negative_x_rejected_everywhere(self):
-        for model in (
-            Clfrd(1, 1, 1),
-            LinearFailureRate(1, 1),
-            Rayleigh(1.0),
-            Exponential(1.0),
-            GeneralizedExponential(1.0, 2.0),
-        ):
-            with pytest.raises(ValueError):
-                model.pdf(-1.0)
+        for model in MODELS:
+            for method in X_METHODS:
+                with pytest.raises(ValueError):
+                    getattr(model, method)(-1.0)
+            for q in (-0.1, 1.0):
+                with pytest.raises(ValueError):
+                    model.quantile(q)
+        with pytest.raises(ValueError):
+            Clfrd(1, 1, 1).reversed_hazard(-1.0)
 
     def test_non_finite_x_rejected_everywhere(self):
-        for cls in MODEL_REGISTRY.values():
-            model = cls(*[1.5] * cls.param_count)
-            for method in ("log_pdf", "pdf", "cdf", "sf", "log_sf", "hazard"):
-                for x in (math.inf, math.nan):
+        for model in MODELS:
+            for x in (math.inf, math.nan):
+                for method in X_METHODS:
                     with pytest.raises(ValueError):
                         getattr(model, method)(x)
+                with pytest.raises(ValueError):
+                    model.quantile(x)
+                with pytest.raises(ValueError):
+                    model.quantile([0.5, x])
+        for x in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                Clfrd(1, 1, 1).reversed_hazard(x)
+
+
+@pytest.mark.parametrize("name", MODEL_REGISTRY)
+def test_one_boundary_for_every_model(name):
+    # a scalar gives a float, a list or array the same shape as an ndarray
+    cls = MODEL_REGISTRY[name]
+    model = cls(*[1.5] * cls.param_count)
+    for method, arg in [(m, 0.7) for m in X_METHODS] + [("quantile", 0.3)]:
+        evaluate = getattr(model, method)
+        assert type(evaluate(arg)) is float, method
+        assert type(evaluate(np.float64(arg))) is float, method
+        for batch in ([arg, arg], np.full(3, arg), np.full((2, 3), arg)):
+            out = evaluate(batch)
+            assert isinstance(out, np.ndarray) and out.shape == np.shape(batch), method
+            assert out.ravel()[0] == pytest.approx(evaluate(arg), rel=1e-15), method
+    # a parameter that is not finite and > 0 raises, naming its field
+    for field in dataclasses.fields(cls):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            values = {f.name: 1.5 for f in dataclasses.fields(cls)}
+            values[field.name] = bad
+            with pytest.raises(ValueError, match=rf"{cls.__name__}: {field.name} must be finite and > 0"):
+                cls(**values)

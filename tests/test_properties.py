@@ -213,20 +213,31 @@ class TestMit:
     def test_reference_table(self, params, expected):
         assert mit(Clfrd(*params), 0.5) == pytest.approx(expected, abs=1e-4)
 
-    @pytest.mark.parametrize("x", [1e-200, 0.1, 0.5, 1.0, 2.5, 5.0])
+    @pytest.mark.parametrize("x", [5e-324, 1e-200, 0.1, 0.5, 1.0, 2.5, 5.0])
     def test_bounds(self, x):
         m = Clfrd(0.5, 0.5, 2.0)
+        if x == 5e-324:
+            # the true value lies just below half the smallest subnormal,
+            # so it rounds to 0.0
+            assert 0.0 <= mit(m, x) <= x
+            assert mit(Clfrd(0.1, 1.0, 0.1), x) == 0.0
+            return
         assert 0.0 < mit(m, x) < x
         if x < 1e-100:
             # the cdf is linear there; its integral, ~x^2, underflows
             assert mit(m, x) == pytest.approx(x / 2, rel=1e-12)
 
-    @pytest.mark.parametrize("params", PARAMETER_SETS)
-    def test_small_ages_match_mpmath(self, params):
-        # the Gauss-Legendre leg, at ages where mit_series flags its
-        # cancelled complement
+    # the Gauss-Legendre leg, at ages where mit_series flags its cancelled
+    # complement, then the leading-term leg where cdf(x) is tiny or subnormal
+    @pytest.mark.parametrize("params,ages", [
+        *((params, (1e-6, 1e-4, 1e-2)) for params in PARAMETER_SETS),
+        ((1e-300, 1.0, 1.0), (1e-160,)),
+        ((0.1, 1.0, 0.1), (1e-310,)),
+        ((2.0, 2.0, 2.0), (1e-310,)),
+    ], ids=[f"params{i}" for i in range(len(PARAMETER_SETS) + 3)])
+    def test_small_ages_match_mpmath(self, params, ages):
         m = Clfrd(*params)
-        for x in (1e-6, 1e-4, 1e-2):
+        for x in ages:
             assert mit(m, x) == pytest.approx(integral_references(m, x, 30)[1], rel=1e-12, abs=0.0)
 
     def test_continuity(self):

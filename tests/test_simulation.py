@@ -6,12 +6,20 @@ import pytest
 from clfrd import (
     Clfrd, SeededStream, StudyConfig, run_cell, run_study, sample_inverse,
 )
+from clfrd.cli import main
+from clfrd.distributions import DEFAULT_PARAMETER_SETS
 from clfrd.estimation import fit_clfrd_block
 from clfrd.sampling import DEFAULT_SEED
-from clfrd.simulation import _cell_seed, study_rows, study_to_csv, study_to_json
+from clfrd.simulation import _cell_seed, study_rows
 
 
 SMALL = Clfrd(0.5, 0.5, 0.5)
+
+
+def simulate(capsys, *argv):
+    """Standard output of ``clfrd simulate`` with these arguments."""
+    assert main(["simulate", *argv]) == 0
+    return capsys.readouterr().out
 
 
 class TestRunCell:
@@ -70,10 +78,10 @@ class TestRunStudy:
         cfg = StudyConfig(parameter_sets=(SMALL,), sample_sizes=(), replications=5)
         assert run_study(cfg) == []
 
-    def test_deterministic_csv(self):
-        cfg = StudyConfig(parameter_sets=(SMALL,), sample_sizes=(30,), replications=8, base_seed=77)
-        a = study_to_csv(run_study(cfg))
-        b = study_to_csv(run_study(cfg))
+    def test_deterministic_csv(self, capsys):
+        argv = ("--sets", "8", "--sizes", "30", "--reps", "8", "--seed", "77")
+        a = simulate(capsys, *argv)
+        b = simulate(capsys, *argv)
         assert a == b
 
     def test_subset_reproduces_full_study_cell(self):
@@ -95,22 +103,22 @@ class TestRunStudy:
         assert list(rows[0].keys()) == expected_keys
         assert {r["param"] for r in rows} == {"alpha", "beta", "lambda"}
 
-    def test_csv_header(self):
-        cfg = StudyConfig(parameter_sets=(SMALL,), sample_sizes=(30,), replications=5, base_seed=3)
-        text = study_to_csv(run_study(cfg))
+    def test_csv_header(self, capsys):
+        text = simulate(capsys, "--sets", "8", "--sizes", "30", "--reps", "5", "--seed", "3")
         assert text.splitlines()[0] == "set_id,alpha,beta,lambda,n,param,mle,bias,sd,mse,low,up,ciw,failures"
 
-    def test_json_round_trip(self):
-        cfg = StudyConfig(parameter_sets=(SMALL,), sample_sizes=(30,), replications=5, base_seed=3)
-        payload = json.loads(study_to_json(run_study(cfg), meta={"seed": 3}))
-        assert payload["meta"] == {"seed": 3}
+    def test_json_round_trip(self, capsys):
+        payload = json.loads(simulate(capsys, "--sets", "8", "--sizes", "30", "--reps", "5",
+                                      "--seed", "3", "--format", "json"))
+        assert payload["meta"]["seed"] == 3
         assert len(payload["rows"]) == 3
 
-    def test_json_reports_outcomes_per_cell(self):
-        cfg = StudyConfig(parameter_sets=(SMALL, Clfrd(2.0, 2.0, 2.0)), sample_sizes=(30, 40),
-                          replications=6, base_seed=3)
+    def test_json_reports_outcomes_per_cell(self, capsys):
+        cfg = StudyConfig(parameter_sets=(DEFAULT_PARAMETER_SETS[0], SMALL), sample_sizes=(30, 40),
+                          replications=6, base_seed=3, set_labels=(1, 8))
         summaries = run_study(cfg)
-        cells = json.loads(study_to_json(summaries))["cells"]
+        cells = json.loads(simulate(capsys, "--sets", "1,8", "--sizes", "30,40", "--reps", "6",
+                                    "--seed", "3", "--format", "json", "--no-meta"))["cells"]
         assert [(c["set_id"], c["n"]) for c in cells] == [(s.set_id, s.n) for s in summaries]
         for c, s in zip(cells, summaries):
             assert c["failures"] == s.failures == sum(c["failure_reasons"].values())
