@@ -150,17 +150,8 @@ def _cmd_compare(args) -> int:
             raise ValueError(f"unknown model {name!r}")
     reports = compare_models(data.values, models)
     rows = [
-        {
-            "model": r.model_name,
-            "neg2_loglik": round(r.neg2_loglik, 6),
-            "ks_stat": round(r.ks_stat, 6),
-            "ks_pvalue": round(r.ks_pvalue, 6),
-            "aic_standard": round(r.aic_standard, 6),
-            "aic_reduced": round(r.aic_reduced, 6),
-            "ad_stat": round(r.ad_stat, 6),
-            "cm_stat": round(r.cm_stat, 6),
-            "error": r.error or "",
-        }
+        {"model": r.model_name, **{k: round(getattr(r, k), 6) for k in _COMPARE_FIELDS[1:-1]},
+         "error": r.error or ""}
         for r in reports
     ]
     if args.format == "json":

@@ -24,7 +24,6 @@ that quadratic in closed form.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -41,38 +40,17 @@ __all__ = [
 ]
 
 
-def lambert_w0(z):
-    """Principal branch W0 of the Lambert W function for ``0 <= z <= e^60``.
+def __getattr__(name):
+    # only perfbench's tracer reads ``lambert_w0`` here and in ``properties``,
+    # to wrap it; nothing in the package calls it.  Bound to scipy's solver
+    # on first access, so that importing this module does not import
+    # scipy.special.  Delete this with that binding.
+    if name != "lambert_w0":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.special import lambertw
 
-    No longer the ``Clfrd`` quantile's solver: nothing in the library calls
-    it, and it is kept only because the benchmark's tracer binds it by name
-    in ``distributions`` and ``properties``.  Arguments are not checked; for
-    general use call ``scipy.special.lambertw``.  Accepts a scalar or array
-    and returns a matching shape.
-
-    Halley iteration (Corless et al., "On the Lambert W function", Adv.
-    Comput. Math. 5, 1996) seeded by ``z / (1 + z)`` below ``e`` and by
-    ``log z - log log z`` from ``e`` up.  Each element stops on its own
-    tolerance, so its value is the same whether it is computed alone or in
-    any array.
-    """
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    lz = np.log(np.maximum(z, math.e))
-    w = np.where(z < math.e, z / (1.0 + z), lz - np.log(lz))
-    done = np.zeros(w.shape, dtype=bool)
-    for _ in range(64):
-        ew = np.exp(w)
-        f = w * ew - z
-        wp1 = w + 1.0
-        dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        dw[done] = 0.0  # an element stops after its first step within tolerance
-        w -= dw
-        done |= np.abs(dw) <= 1e-15 * (1.0 + np.abs(w))
-        if np.all(done):
-            break
-    return float(w[0]) if scalar else w
+    globals()[name] = lambertw
+    return lambertw
 
 
 def _as_domain_array(x):
@@ -295,7 +273,7 @@ class Rayleigh(LifetimeModel):
 
     def _log_pdf(self, x):
         with np.errstate(divide="ignore"):
-            return np.log(x) - 2.0 * math.log(self.sigma) - x * x / (2.0 * self.sigma * self.sigma)
+            return np.log(x) - 2.0 * np.log(self.sigma) - x * x / (2.0 * self.sigma * self.sigma)
 
     def _hazard(self, x):
         return x / (self.sigma * self.sigma)
@@ -318,7 +296,7 @@ class Exponential(LifetimeModel):
         return -self.rate * x
 
     def _log_pdf(self, x):
-        return math.log(self.rate) - self.rate * x
+        return np.log(self.rate) - self.rate * x
 
     def _hazard(self, x):
         return np.full_like(x, self.rate)
@@ -353,13 +331,13 @@ class GeneralizedExponential(LifetimeModel):
     def _log_pdf(self, x):
         with np.errstate(invalid="ignore"):
             out = (
-                math.log(self.shape * self.rate)
+                np.log(self.shape * self.rate)
                 - self.rate * x
                 + (self.shape - 1.0) * self._log_base_cdf(x)
             )
         # x = 0: density is 0 for shape > 1, rate for shape = 1, +inf below
         if self.shape == 1.0:
-            out = np.where(x == 0.0, math.log(self.rate), out)
+            out = np.where(x == 0.0, np.log(self.rate), out)
         return out
 
     def _hazard(self, x):

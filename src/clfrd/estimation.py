@@ -189,10 +189,9 @@ def _loglik_score(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     row broadcast against ``x`` in the same numpy pass; row ``i`` of the
     result is the call on ``theta[i]`` alone, bit for bit.
 
-    The log-density is summed in its expanded form ``-y - lam + lam*e``,
-    which cancels at large lam (``Clfrd.log_pdf`` uses the exact
-    ``lam*expm1(-y)``): the study's ``_neg_loglik_fd`` writes the same
-    expressions in the same order, so its value is ``-loglik`` bit for bit.
+    The log-density is summed as ``Clfrd.log_pdf`` writes it, with the
+    exact ``lam*expm1(-y)``, not the expanded ``lam*e - lam``, which cancels
+    at large lam; so is the lam score, ``sum(expm1(-y)) + sum(e/d)``.
     """
     a, b, lam = theta[..., 0], theta[..., 1], theta[..., 2]
     ac, bc = a[..., None], b[..., None]
@@ -204,12 +203,13 @@ def _loglik_score(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     xx = x * x
     sx, sxx = x.sum(), xx.sum()
     xe, xxe = x * e, xx * e
-    loglik = (-x.size * lam - a * sx - 0.5 * b * sxx + lam * e.sum(axis=-1) + np.log(lin).sum(axis=-1)
+    em1 = np.expm1(-y).sum(axis=-1)
+    loglik = (-a * sx - 0.5 * b * sxx + lam * em1 + np.log(lin).sum(axis=-1)
               + np.log1p(le).sum(axis=-1))
     da = -sx - lam * xe.sum(axis=-1) + (1.0 / lin).sum(axis=-1) - lam * (xe / d).sum(axis=-1)
     db = (-0.5 * sxx - 0.5 * lam * xxe.sum(axis=-1) + (x / lin).sum(axis=-1)
           - 0.5 * lam * (xxe / d).sum(axis=-1))
-    dl = -float(x.size) + e.sum(axis=-1) + (e / d).sum(axis=-1)
+    dl = em1 + (e / d).sum(axis=-1)
     return loglik, np.stack([da, db, dl], axis=-1)
 
 
@@ -265,12 +265,6 @@ def _default_starts(x: np.ndarray) -> list[tuple[float, float, float]]:
 # one through the public method bit for bit
 
 
-def _math_log(v: np.ndarray) -> np.ndarray:
-    # math.log of each entry: np.log differs from it in the last bit on some
-    # arguments, and the classes' log_pdf take their constants from math.log
-    return np.reshape([math.log(t) for t in v.ravel().tolist()], v.shape)
-
-
 def _lfr_loglik_score(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, b = theta[..., 0, None], theta[..., 1, None]
     lin = a + b * x
@@ -293,7 +287,7 @@ def _ged_loglik_score(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.
     em = -np.expm1(-rc * x)  # 1 - e^(-rx)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_em = np.log(em)
-        loglik = np.sum(_math_log(sc * rc) - rc * x + (sc - 1.0) * log_em, axis=-1)
+        loglik = np.sum(np.log(sc * rc) - rc * x + (sc - 1.0) * log_em, axis=-1)
     ratio = x * np.exp(-rc * x) / em
     return loglik, np.stack([x.size / r - x.sum() + (s - 1.0) * ratio.sum(axis=-1),
                              x.size / s + log_em.sum(axis=-1)], axis=-1)
@@ -320,13 +314,13 @@ _FAMILIES = {
     "clfrd": _Family(_loglik_score, _information, _default_starts),
     "lfrd": _Family(_lfr_loglik_score, _lfr_information, _hazard_starts),
     "rd": _Family(
-        lambda t, x: (np.sum(np.log(x) - 2.0 * _math_log(t) - x * x / (2.0 * t * t), axis=-1),
+        lambda t, x: (np.sum(np.log(x) - 2.0 * np.log(t) - x * x / (2.0 * t * t), axis=-1),
                       (x * x).sum() / t ** 3 - 2.0 * x.size / t),
         lambda t, x: np.array([[3.0 * (x * x).sum() / t[0] ** 4 - 2.0 * x.size / t[0] ** 2]]),
         lambda x: [(math.sqrt(float((x * x).sum()) / (2.0 * x.size)),)],
     ),
     "ed": _Family(
-        lambda t, x: (np.sum(_math_log(t) - t * x, axis=-1), x.size / t - x.sum()),
+        lambda t, x: (np.sum(np.log(t) - t * x, axis=-1), x.size / t - x.sum()),
         lambda t, x: np.array([[x.size / t[0] ** 2]]),
         lambda x: [(x.size / float(x.sum()),)],
     ),
@@ -414,10 +408,14 @@ def _neg_loglik_fd(theta: np.ndarray, x: np.ndarray, sums=None) -> tuple[np.ndar
     ``sqrt(eps) * max(1, |theta|)``, and each difference is divided by the
     step actually taken, ``(theta + h) - theta``.  The lam-shifted point
     shares theta's ``exp(-y)`` and ``log(alpha + beta x)``, so three of each
-    are computed per row.  Every row is bit-identical to ``-clfrd_loglik`` at
-    its points, so iterates match a run on ``-loglik`` with scipy's own
-    finite differences bit for bit.  Points off the open positive orthant
-    score ``+inf``.
+    are computed per row.  The value is ``-loglik`` in its expanded form,
+    ``n lam + alpha sum(x) + beta sum(x^2) / 2 - lam sum(e) - sum(log(alpha
+    + beta x)) - sum(log1p(lam e))`` in that order, bit for bit at every
+    point, so iterates match a run on that objective with scipy's own
+    finite differences bit for bit.  It is not ``-clfrd_loglik``
+    bit for bit: that sums the exact ``lam*expm1(-y)``, and the expanded form
+    cancels at large lam.  Points off the open positive orthant score
+    ``+inf``.
     """
     if sums is None:
         sums = _sample_sums(x)

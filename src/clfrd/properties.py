@@ -223,6 +223,7 @@ _EPS = np.finfo(float).eps
 # Bernstein's bound on the Poisson mass outside _poisson's window, at its
 # largest over every mean (2.04e-27, near mean 0.007)
 _LEFT_OUT = 2.1e-27
+_MAX_WINDOW = 2**24  # counts; _poisson's window stays below this
 _NODES, _WEIGHTS = leggauss(32)  # mit's rule on [-1, 1] where cdf(x) <= 1/2
 
 
@@ -241,11 +242,16 @@ def _poisson(lam: float, y: float):
     with the mean.  Each carries the rounding of at most one multiply per
     count from the mode, which accumulates like a random walk: a few eps
     times the root of the window's length.  The Poisson mass outside the
-    window is below ``_LEFT_OUT`` at every mean.
+    window is below ``_LEFT_OUT`` at every mean.  A window of ``_MAX_WINDOW``
+    counts or more, a mean above about 4.9e11, raises ``ValueError``
+    before anything is allocated: it would take about 80 bytes a count.
     """
     mean = lam * math.exp(-y)
     half = 12.0 * math.sqrt(mean) + 40.0
     lo, hi = max(math.ceil(mean - half), 0), math.floor(mean + half)
+    if hi - lo >= _MAX_WINDOW:
+        raise ValueError(f"lam = {lam:g} is too large: the Poisson mixture at mean lam*exp(-y) = "
+                         f"{mean:.3g} needs {hi - lo + 1} terms, and at most 2^24 are summed")
     mode = math.floor(mean)
     j = np.arange(lo, hi + 1.0)
     up = np.cumprod(mean / j[mode + 1 - lo:])

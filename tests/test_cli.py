@@ -116,9 +116,9 @@ class TestPinnedFitOutput:
         ("compare", "students"): "6f3689bbdef37e2bbb99e5b1cb053abd881f4c5899a552a7d1e742982a6e41a8",
         ("compare", "appliances"): "3b28ba73a6fb5f85f792dd72129a79969d3936b2dcedd41ec0cfc8be0156483e",
         ("compare", "devices"): "9e7b5652385ba47995ca2ed833e60d1a693d0a5fabba37e95356ed52e207c4d0",
-        ("fit", "students"): "7c59e240e6bc130d130a2991c0c19841c5933e4d97f06f2dfdca778724027701",
-        ("fit", "appliances"): "2aa4319f52af748e55dbba7823284ab42be6a769652f9ecca494f49126bd1c04",
-        ("fit", "devices"): "759cb3c272334c85636633d4d398fbe609f723999078614586e7abac0ec87013",
+        ("fit", "students"): "e7eb8b526e2bc5a8896de9a6c06d4178335179ac413ee8ce08c9da8f37c8da41",
+        ("fit", "appliances"): "a65950ab0afc3473730acc7f78ba4c858895c6fb1f766d32cf61c544556304c5",
+        ("fit", "devices"): "fdd3d9466cc5bc5a500d338890fcd8793218c24c3186a7b424d39b95e652eb9f",
     }
 
     @pytest.mark.parametrize("command, dataset", sorted(PINNED))
@@ -242,6 +242,12 @@ class TestProps:
                                      "--at", at, "--format", "json", "--no-meta")
             assert code == EXIT_DOMAIN and out == ""
             assert "x must be finite" in err
+
+    def test_huge_lambda_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "props", "--alpha", "1", "--beta", "1", "--lambda", "1e15",
+                                 "--format", "json", "--no-meta")
+        assert code == EXIT_DOMAIN and out == ""
+        assert "lam = 1e+15" in err
 
     def test_text_parameters_line(self, capsys):
         code, out, _ = run_cli(capsys, "props", "--alpha", "2", "--beta", "0.5", "--lambda", "3")

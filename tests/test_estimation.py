@@ -195,8 +195,23 @@ class TestFitClfrd:
 
 
 def reference_loglik(theta, x):
-    # reference: one scalar parameter triple in one 1-D pass, the form the
-    # raw kernel must reproduce bit for bit
+    # reference: one scalar parameter triple in one 1-D pass, in the exact
+    # form and expression order the raw kernel must reproduce bit for bit
+    a, b, lam = theta
+    y = a * x + 0.5 * b * x * x
+    return float(
+        -a * x.sum()
+        - 0.5 * b * (x * x).sum()
+        + lam * np.expm1(-y).sum()
+        + np.log(a + b * x).sum()
+        + np.log1p(lam * np.exp(-y)).sum()
+    )
+
+
+def expanded_form_loglik(theta, x):
+    # reference: the recovery study's objective, the loglik in its expanded
+    # form -n lam + lam sum(e), which cancels at large lam; its local fit
+    # must reproduce this bit for bit
     a, b, lam = theta
     y = a * x + 0.5 * b * x * x
     e = np.exp(-y)
@@ -211,10 +226,10 @@ def reference_loglik(theta, x):
 
 
 def reference_neg_loglik(theta, x):
-    # reference: -loglik alone, for scipy to take its own finite differences
+    # reference: the study's -loglik alone, for scipy to take its own finite differences
     if np.any(theta <= 0.0) or np.any(~np.isfinite(theta)):
         return math.inf
-    return -clfrd_loglik(Clfrd(*theta), x)
+    return -expanded_form_loglik(theta, x)
 
 
 def reference_local_fit(x, start, max_iterations):
@@ -265,10 +280,10 @@ class TestRawKernels:
                     assert hexes(score[i]) == hexes(gradient), i
 
     @pytest.mark.parametrize("name", ["rd", "ed", "ged"])
-    def test_stack_constants_are_math_log_as_in_log_pdf(self, name, students):
+    def test_stack_constants_are_np_log_as_in_log_pdf(self, name, students):
         # np.log differs from math.log in the last bit on a few arguments, 22
-        # of these; at some of them, on data of unit scale, a kernel taking
-        # its constant from np.log leaves log_pdf
+        # of these; at some of them, on data of unit scale, a kernel and a
+        # log_pdf that took their constants from different logs would differ
         v = np.exp(np.random.default_rng(35).uniform(-20.0, 20.0, 100000))
         differs = v[np.log(v) != [math.log(t) for t in v.tolist()]]
         family = MODEL_REGISTRY[name]
@@ -288,7 +303,7 @@ class TestRawKernels:
         assert np.sum(thetas + 1e-8 == thetas) >= 20
         for theta in thetas:
             value, grad = _neg_loglik_fd(theta, x)
-            assert value == -clfrd_loglik(Clfrd(*theta), x)
+            assert value == -expanded_form_loglik(theta, x)
             np.testing.assert_array_equal(grad, approx_fprime(theta, reference_neg_loglik, 1e-8, x))
 
     def test_local_fit_reproduces_scipy_iterates(self, students):
@@ -413,7 +428,7 @@ class TestLockstepFits:
         assert grad[3, 2] == -math.inf
         for r in (0, 5):
             value, g = _neg_loglik_fd(theta[r], x[r])
-            assert f[r] == value == -clfrd_loglik(Clfrd(*theta[r]), x[r])
+            assert f[r] == value == -expanded_form_loglik(theta[r], x[r])
             np.testing.assert_array_equal(grad[r], g)
 
     def test_block_validation(self):
@@ -712,20 +727,41 @@ class TestMultistartRows:
         assert lams == [0.1, 1.0, 10.0, 100.0, 1000.0] * 2
 
 
+def exact_loglik(fit, x):
+    # the fit's log L summed from log_pdf, not the loglik the fit returns
+    return float(np.sum(fit.model.log_pdf(x)))
+
+
+def small_sample(set_id, seed):
+    return sample_inverse(DEFAULT_PARAMETER_SETS[set_id - 1], 36, SeededStream(seed, 0))
+
+
 class TestNesting:
     # the compounded model holds the linear-failure-rate law at its lam -> 0
-    # edge, so the clfrd fit may not end below the lfrd fit
+    # edge, so the clfrd fit may not end below the lfrd fit, by the loglik
+    # it returns or by its log_pdf
 
     @pytest.mark.parametrize("dataset", TestFittingDriver.DATASETS)
     def test_clfrd_is_not_below_lfrd_on_the_datasets(self, dataset):
         x = builtin(dataset).values
-        assert fit_clfrd(x).loglik >= fit_model("lfrd", x).loglik - 1e-9
+        fit, lfrd = fit_clfrd(x), fit_model("lfrd", x).loglik
+        assert fit.loglik >= lfrd - 1e-9
+        assert exact_loglik(fit, x) >= lfrd - 1e-9
 
     @pytest.mark.parametrize("set_id", [1, 5, 8])
     def test_clfrd_is_not_below_lfrd_on_small_samples(self, set_id):
         for seed in range(10):
-            x = sample_inverse(DEFAULT_PARAMETER_SETS[set_id - 1], 36, SeededStream(seed, 0))
-            assert fit_clfrd(x).loglik >= fit_model("lfrd", x).loglik - 1e-9, seed
+            x = small_sample(set_id, seed)
+            fit, lfrd = fit_clfrd(x), fit_model("lfrd", x).loglik
+            assert fit.loglik >= lfrd - 1e-9, seed
+            assert exact_loglik(fit, x) >= lfrd - 1e-9, seed
+
+    @pytest.mark.parametrize("set_id", [1, 5, 8])
+    def test_reversed_sample_reaches_the_same_exact_loglik(self, set_id):
+        for seed in range(10):
+            x = small_sample(set_id, seed)
+            forward, backward = exact_loglik(fit_clfrd(x), x), exact_loglik(fit_clfrd(x[::-1]), x)
+            assert backward == pytest.approx(forward, rel=1e-9), seed
 
     def test_devices_clfrd_reaches_the_lfrd_value(self, devices):
         # the devices supremum is the LFR edge of the ridge: the clfrd fit

@@ -14,7 +14,9 @@ from clfrd import (
     lr_monotone_check,
     median,
     mit,
+    mit_series,
     mrl,
+    mrl_series,
     order_stat_pdf,
     pdf_shape,
     raw_moment,
@@ -300,6 +302,17 @@ class TestRawMoment:
         for r in (0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 raw_moment(Clfrd(2, 2, 2), r)
+
+
+@pytest.mark.parametrize("measure, x", [(mrl, 0.0), (mrl, 0.5), (raw_moment, 1), (raw_moment, 2),
+                                        (mit, 5.0), (mrl_series, 0.5), (mit_series, 0.5)])
+def test_huge_lam_is_rejected_before_the_poisson_window_is_allocated(measure, x):
+    # the window would hold about 7.6e8 counts, some 60 GB; its length alone
+    # raises, and mit below cdf(x) = 1/2 takes its nodes, not the mixture
+    m = Clfrd(1.0, 1.0, 1e15)
+    with pytest.raises(ValueError, match=r"lam = 1e\+15"):
+        measure(m, x)
+    assert 0.0 < mit(m, 1e-20) < 1e-20
 
 
 class TestMedian:
